@@ -27,7 +27,6 @@ from .diagram import (
     DiagramOfAlgebras,
     SmallCategory,
     ToyAlgebra,
-    _mat_mul,
     diagram_algebra,
     matrix_model_check,
     nerve,
@@ -299,19 +298,21 @@ def sample_cospan_diagram() -> DiagramOfAlgebras:
     )
 
 
+def sample_triangle():
+    """(alpha, beta, Gamma^alpha, Gamma^beta, Gamma^theta) for QQ -> QQ^2 -> QQ,
+    with Gamma^theta = beta Gamma^alpha + Gamma^beta alpha = 3 so that the
+    triangle condition holds."""
+    return ([[F(1)], [F(0)]], [[F(1), F(1)]], [[F(2)], [F(1)]], [[F(0), F(3)]],
+            [[F(3)]])
+
+
 def criterion_diagram(seed=DEFAULT_SEED):
     """Boundary and coboundary squares vanish; ranks and models match."""
-    boundary_sq = True
-    for cat in (SmallCategory.arrow(), SmallCategory.parallel_pair(),
-                SmallCategory.cospan(), SmallCategory.chain(2)):
-        nd = nerve(cat, 4)
-        mats = nd.boundaries
-        for q in range(1, len(mats)):
-            if not mats[q - 1] or not mats[q]:
-                continue
-            prod = _mat_mul(mats[q - 1], mats[q])
-            if any(any(c != 0 for c in row) for row in prod):
-                boundary_sq = False
+    boundary_sq = all(
+        nerve(cat, 4).boundary_squares_vanish()
+        for cat in (SmallCategory.arrow(), SmallCategory.parallel_pair(),
+                    SmallCategory.cospan(), SmallCategory.chain(2))
+    )
     ranks_ok = (
         simplicial_cohomology(SmallCategory.arrow(), 1) == [1, 0]
         and simplicial_cohomology(SmallCategory.parallel_pair(), 1) == [1, 1]
@@ -333,13 +334,7 @@ def criterion_diagram(seed=DEFAULT_SEED):
         glued_ok = True
     except ValueError:
         glued_ok = False
-    alpha = [[F(1)], [F(0)]]
-    beta = [[F(1), F(1)]]
-    g_alpha = [[F(2)], [F(1)]]
-    g_beta = [[F(0), F(3)]]
-    theta = _mat_mul(beta, g_alpha)
-    theta = [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(theta, _mat_mul(g_beta, alpha))]
+    alpha, beta, g_alpha, g_beta, theta = sample_triangle()
     tri_pass = triangle_check(alpha, beta, g_alpha, g_beta, theta)
     tri_fail = triangle_check(alpha, beta, g_alpha, g_beta, [[F(0)]])
     checks = {

@@ -25,12 +25,12 @@ from .acceptance import (
     run_suite,
     sample_arrow_diagram,
     sample_cospan_diagram,
+    sample_triangle,
 )
 from .diagram import (
     DiagramCochain,
     SmallCategory,
     ToyAlgebra,
-    _mat_mul,
     diagram_algebra,
     hochschild_coboundary,
     matrix_model_check,
@@ -392,19 +392,11 @@ _SHAPES = {
 def _cmd_diagram_nerve(args):
     cat = _SHAPES[args.shape]()
     data = nerve(cat, args.maxdim + 1)
-    square_zero = True
-    mats = data.boundaries
-    for q in range(2, len(mats)):
-        if not mats[q - 1] or not mats[q] or not mats[q][0]:
-            continue
-        prod = _mat_mul(mats[q - 1], mats[q])
-        if any(any(c != 0 for c in row) for row in prod):
-            square_zero = False
     ranks = simplicial_cohomology(cat, args.maxdim)
     return _report(
         "diagram nerve",
         {"shape": args.shape, "maxdim": args.maxdim},
-        {"boundary_squares_to_zero": square_zero},
+        {"boundary_squares_to_zero": data.boundary_squares_vanish()},
         {"simplex_counts": data.counts()[: args.maxdim + 1],
          "cohomology_ranks": ranks},
     )
@@ -451,13 +443,7 @@ def _cmd_diagram_algebra(args):
     except ValueError:
         glued_ok = False
         dim = None
-    alpha = [[Fraction(1)], [Fraction(0)]]
-    beta = [[Fraction(1), Fraction(1)]]
-    g_alpha = [[Fraction(2)], [Fraction(1)]]
-    g_beta = [[Fraction(0), Fraction(3)]]
-    theta = _mat_mul(beta, g_alpha)
-    theta = [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(theta, _mat_mul(g_beta, alpha))]
+    alpha, beta, g_alpha, g_beta, theta = sample_triangle()
     tri = triangle_check(alpha, beta, g_alpha, g_beta, theta)
     tri_zero = triangle_check(alpha, beta, g_alpha, g_beta,
                               [[Fraction(0)]])
@@ -477,7 +463,7 @@ def _cmd_w1_reduce(args):
         with open(args.input) as fh:
             data = json.load(fh)
         coc = W1Cocycle.from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         print(f"cannot read cocycle from {args.input}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     try:
@@ -503,11 +489,7 @@ def _cmd_w1_reduce(args):
 
 
 def _cmd_w1_basis(args):
-    try:
-        rep = basis_report(args.cutoff)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        raise SystemExit(2)
+    rep = basis_report(args.cutoff)
     return _report(
         "w1 basis",
         {"cutoff": args.cutoff},
@@ -662,6 +644,10 @@ def main(argv=None) -> int:
         raise
     except BrokenPipeError:
         return 0
+    except ValueError as exc:
+        # the library rejects out-of-range parameters with ValueError
+        print(f"diagdeform: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     if getattr(args, "_raw", False):
         return result
     return _emit(result, args.json)

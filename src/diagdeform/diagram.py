@@ -35,6 +35,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .linalg import rref
+
 __all__ = [
     "ArityMismatch",
     "InvalidMorphism",
@@ -112,34 +114,6 @@ def _identity(n):
 
 def _mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
-def _rank(rows) -> int:
-    """Row-reduction rank over QQ; the input is not modified."""
-    m = [list(map(_fr, r)) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [inv * a for a in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                c = m[r][col]
-                m[r] = [a - c * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _transpose(M):
-    return [list(col) for col in zip(*M)] if M else []
 
 
 # -------------------------------------------------------------- categories
@@ -319,6 +293,12 @@ class NerveData:
     def counts(self):
         return [len(s) for s in self.simplices]
 
+    def boundary_squares_vanish(self) -> bool:
+        """Whether every composite of consecutive boundary matrices is zero."""
+        b = self.boundaries
+        return all(_vec_is_zero(row)
+                   for q in range(2, len(b)) for row in _mat_mul(b[q - 1], b[q]))
+
 
 def nerve(cat: SmallCategory, maxdim: int) -> NerveData:
     """Non-degenerate simplices of the nerve through dimension maxdim.
@@ -358,7 +338,8 @@ def simplicial_cohomology(cat: SmallCategory, maxdim: int):
         if q == 0 or q > maxdim + 1 or not data.boundaries[q]:
             ranks.append(0)
         else:
-            ranks.append(_rank(data.boundaries[q]))
+            M = data.boundaries[q]
+            ranks.append(len(rref(M, len(M[0]))[0]))
     out = []
     for q in range(maxdim + 1):
         out.append(len(data.simplices[q]) - ranks[q + 1] - ranks[q])

@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .linalg import rref
 from .qweyl import PseudoPoly, classical
 
 W1 = classical()
@@ -65,6 +66,8 @@ class W1Cocycle:
 
     @classmethod
     def from_json(cls, d) -> "W1Cocycle":
+        if not isinstance(d, dict):
+            raise ValueError(f"a cocycle is a JSON object, not {type(d).__name__}")
         # A misspelled key would otherwise read as an absent component and
         # turn the input into a smaller cocycle than the caller intended.
         unknown = set(d) - {"gammaF", "gammaG"}
@@ -182,63 +185,40 @@ def _gauge_generators(cutoff: int):
     return gens
 
 
-def _solve_or_certify(columns, target, slots):
-    """Solve sum_c s_c * columns[c] = target over the given slots.
-
-    Returns (solution list, None) or (None, dual) where dual is a linear
-    functional on slots vanishing on every column but not on the target.
-    """
-    nrow, ncol = len(slots), len(columns)
-    A = [[columns[c].get(s, Fraction(0)) for c in range(ncol)] for s in slots]
-    b = [target.get(s, Fraction(0)) for s in slots]
-    trace = [[Fraction(int(i == k)) for k in range(nrow)] for i in range(nrow)]
-    pivots = []
-    r = 0
-    for c in range(ncol):
-        pivot = next((i for i in range(r, nrow) if A[i][c] != 0), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        trace[r], trace[pivot] = trace[pivot], trace[r]
-        inv = 1 / A[r][c]
-        A[r] = [inv * v for v in A[r]]
-        b[r] = inv * b[r]
-        trace[r] = [inv * v for v in trace[r]]
-        for i in range(nrow):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [u - f * v for u, v in zip(A[i], A[r])]
-                b[i] = b[i] - f * b[r]
-                trace[i] = [u - f * v for u, v in zip(trace[i], trace[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nrow):
-        if b[i] != 0:
-            dual = {slots[k]: trace[i][k] for k in range(nrow) if trace[i][k] != 0}
-            return None, dual
-    sol = [Fraction(0)] * ncol
-    for (rr, cc) in pivots:
-        sol[cc] = b[rr]
-    return sol, None
+def _pairing(dual, img) -> Fraction:
+    return sum((dual[s] * v for s, v in img.items() if s in dual), Fraction(0))
 
 
 def membership_oracle(p: PseudoPoly, cutoff: int):
     """Decide whether (0, p) is gauge-trivial, with witness or certificate.
 
-    Accepts: returns (True, GaugeDatum g) with apply_gauge((0, p), g) = 0,
-    verified before returning.  Rejects: returns (False, dual) where dual
-    is a rational functional on monomial slots annihilating every gauge
-    generator but not p.
+    Accepts: returns (True, GaugeDatum g) with apply_gauge((0, p), g) = 0.
+    Rejects: returns (False, dual) where dual is a rational functional on
+    monomial slots annihilating every gauge generator but not p.  Both are
+    verified before returning.
     """
     p = W1.coerce(p)
     if _max_degree(p) > cutoff and not p.is_zero():
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
     slots = _slots(cutoff + 1)
     gens = _gauge_generators(cutoff)
-    sol, dual = _solve_or_certify([img for _, img in gens], dict(p.terms), slots)
-    if sol is None:
+    # rows [A | b | I]: on slot s, the generator coefficients, the target and
+    # a unit row, so a zero row of A carries its combination of slots along
+    n = len(gens)
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[img.get(s, zero) for _, img in gens] + [p.terms.get(s, zero)]
+            + [one if k == i else zero for k in range(len(slots))]
+            for i, s in enumerate(slots)]
+    pivots, rows = rref(rows, n)
+    bad = next((row for row in rows[len(pivots):] if row[n]), None)
+    if bad is not None:
+        dual = {s: v for s, v in zip(slots, bad[n + 1:]) if v}
+        if not _pairing(dual, p.terms) or any(_pairing(dual, img) for _, img in gens):
+            raise AssertionError("non-membership certificate failed to separate")
         return False, dual
+    sol = [zero] * n
+    for r, c in pivots:
+        sol[c] = rows[r][n]
     beta = {}
     chi = {}
     alpha = {}
@@ -260,34 +240,6 @@ def membership_oracle(p: PseudoPoly, cutoff: int):
     return True, witness
 
 
-def _echelon(rows, slots):
-    """Reduced row echelon form of a list of slot-dicts; (pivot, row) pairs."""
-    work = [dict(r) for r in rows if r]
-    piv_slots = []
-    piv_rows = []
-    for s in slots:
-        idx = next((k for k, r in enumerate(work) if r.get(s)), None)
-        if idx is None:
-            continue
-        row = work.pop(idx)
-        inv = 1 / row[s]
-        row = {k: inv * v for k, v in row.items() if v != 0}
-
-        def eliminate(r):
-            c = r.get(s)
-            if not c:
-                return r
-            out = {k: r.get(k, Fraction(0)) - c * row.get(k, Fraction(0))
-                   for k in set(r) | set(row)}
-            return {k: v for k, v in out.items() if v != 0}
-
-        work = [e for e in (eliminate(r) for r in work) if e]
-        piv_rows = [eliminate(r) for r in piv_rows]
-        piv_slots.append(s)
-        piv_rows.append(row)
-    return list(zip(piv_slots, piv_rows))
-
-
 def reduce(coc: W1Cocycle, cutoff: int) -> dict:
     """Canonical representative of a cocycle class at the given cutoff.
 
@@ -304,7 +256,10 @@ def reduce(coc: W1Cocycle, cutoff: int) -> dict:
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
     killed, kill_witness = kill_gamma_f(coc)
     slots = _slots(cutoff + 1)
-    span = _echelon([img for _, img in _gauge_generators(cutoff)], slots)
+    pivots, rows = rref([[img.get(s, Fraction(0)) for s in slots]
+                         for _, img in _gauge_generators(cutoff)], len(slots))
+    span = [(slots[c], {s: v for s, v in zip(slots, rows[r]) if v})
+            for r, c in pivots]
     residual = dict(killed.gamma_g.terms)
     for pivot, row in span:
         c = residual.get(pivot)

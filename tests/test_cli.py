@@ -132,3 +132,24 @@ def test_encoder_exact_scalars():
     assert _encode(Fraction(3, 2)) == "3/2"
     assert _encode({(1, 2): Fraction(1, 3)}) == {"1,2": "1/3"}
     assert _encode([True, None, 5]) == [True, None, 5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["w1", "reduce", "--input", "{list}"],
+    ["w1", "reduce", "--input", "{zero}"],
+    ["diagram", "nerve", "--maxdim", "-3"],
+    ["star", "check", "--kind", "moyal", "--order", "-1"],
+    ["sphere", "series-check", "--order", "-1"],
+    ["weyl", "eta", "--order", "0"],
+])
+def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    files = {"{list}": "[]", "{zero}": '{"gammaF": [[1, 2, "1/0"]]}'}
+    path = tmp_path / "coc.json"
+    for a in set(argv) & set(files):
+        path.write_text(files[a])
+    argv = [str(path) if a in files else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip() and "\n" not in err.strip()

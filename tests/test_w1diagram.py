@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from diagdeform import w1diagram
+from diagdeform.cli import _encode
 from diagdeform.w1diagram import (
     W1,
     CutoffTooSmall,
@@ -91,6 +93,20 @@ def test_membership_xy2_rejected_with_certificate():
         assert sum(dual.get(s, F(0)) * c for s, c in img.items()) == 0
     # ... but pairs nontrivially with p itself
     assert sum(dual.get(s, F(0)) * c for s, c in p.terms.items()) != 0
+
+
+def test_membership_rejects_a_corrupted_certificate(monkeypatch):
+    # Blank the transform block the eliminator hands back: the dual read off
+    # it no longer separates p from the gauge span and must not be returned.
+    real_rref = w1diagram.rref
+
+    def corrupted(rows, ncols):
+        pivots, out = real_rref(rows, ncols)
+        return pivots, [row[:ncols + 1] + [F(1)] * (len(row) - ncols - 1) for row in out]
+
+    monkeypatch.setattr(w1diagram, "rref", corrupted)
+    with pytest.raises(AssertionError):
+        membership_oracle(W1.monomial(1, 2), 6)
 
 
 def test_membership_cutoff_guard():
@@ -234,3 +250,57 @@ def test_gauge_datum_validation():
         GaugeDatum({(1, 1): F(1)}, {}, {})
     with pytest.raises(ValueError):
         GaugeDatum({}, {(2, 1): F(1)}, {})
+
+
+# cli._encode forms of reduce(random_cocycle(random.Random(k)), cutoff): the
+# certificate and witness bytes are part of the report contract.  Everything
+# but the certificate is the same at both cutoffs; the certificate is the
+# first separating functional the elimination meets, which can move with the
+# cutoff (k = 12), so it is pinned per cutoff.
+PINNED_REDUCTIONS = {
+    0: {"representative": [[1, 4, "-1/2"]], "is_zero": False,
+        "oracle_accepts": False, "consistent": True,
+        "kill_witness": {"alpha": [], "beta": [],
+                         "chi": [[2, 4, "-1/4"], [3, 1, "-1"], [4, 1, "1"]]},
+        "witness": None, "full_witness": None,
+        "certificate": {5: {"1,4": "1"}, 8: {"1,4": "1"}},
+        "x_family_monomials": [], "x_family_conflict": False},
+    1: {"representative": [], "is_zero": True,
+        "oracle_accepts": True, "consistent": True,
+        "kill_witness": {"alpha": [], "beta": [], "chi": [[0, 4, "3/4"], [4, 1, "-1"]]},
+        "witness": {"alpha": [[4, 0, "-1"]], "beta": [],
+                    "chi": [[4, 1, "1"], [5, 0, "-2/5"]]},
+        "full_witness": {"alpha": [[4, 0, "-1"]], "beta": [],
+                         "chi": [[0, 4, "3/4"], [5, 0, "-2/5"]]},
+        "certificate": {5: None, 8: None},
+        "x_family_monomials": [[4, 0]], "x_family_conflict": True},
+    2: {"representative": [], "is_zero": True,
+        "oracle_accepts": True, "consistent": True,
+        "kill_witness": {"alpha": [], "beta": [], "chi": [[0, 1, "-1"]]},
+        "witness": {"alpha": [], "beta": [], "chi": [[5, 0, "-1/5"], [6, 0, "1/6"]]},
+        "full_witness": {"alpha": [], "beta": [],
+                         "chi": [[0, 1, "-1"], [5, 0, "-1/5"], [6, 0, "1/6"]]},
+        "certificate": {5: None, 8: None},
+        "x_family_monomials": [[4, 0], [5, 0]], "x_family_conflict": True},
+    3: {"representative": [[3, 2, "4"]], "is_zero": False,
+        "oracle_accepts": False, "consistent": True,
+        "kill_witness": {"alpha": [], "beta": [], "chi": [[4, 1, "-1"], [4, 2, "1"]]},
+        "witness": None, "full_witness": None,
+        "certificate": {5: {"3,2": "1"}, 8: {"3,2": "1"}},
+        "x_family_monomials": [[4, 0]], "x_family_conflict": True},
+    12: {"representative": [[1, 3, "-4/3"], [2, 2, "3"], [2, 3, "3"]], "is_zero": False,
+         "oracle_accepts": False, "consistent": True,
+         "kill_witness": {"alpha": [], "beta": [],
+                          "chi": [[2, 3, "-2/3"], [3, 1, "-1"], [3, 2, "1"], [3, 3, "1"]]},
+         "witness": None, "full_witness": None,
+         "certificate": {5: {"2,2": "1"}, 8: {"2,3": "1"}},
+         "x_family_monomials": [[4, 0]], "x_family_conflict": True},
+}
+
+
+@pytest.mark.parametrize("cutoff", [5, 8])
+@pytest.mark.parametrize("k", sorted(PINNED_REDUCTIONS))
+def test_reduce_report_bytes_are_pinned(k, cutoff):
+    pinned = PINNED_REDUCTIONS[k]
+    rep = _encode(reduce(random_cocycle(random.Random(k)), cutoff))
+    assert rep == {**pinned, "cutoff": cutoff, "certificate": pinned["certificate"][cutoff]}
