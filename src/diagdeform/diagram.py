@@ -368,12 +368,16 @@ class ToyAlgebra:
     def multiply(self, u, v):
         out = _zeros(self.dim)
         for i, ci in enumerate(u):
-            if ci == 0:
+            if not ci:
                 continue
+            row = self.table[i]
             for j, cj in enumerate(v):
-                if cj == 0:
+                if not cj:
                     continue
-                out = _vec_add(out, _vec_scale(ci * cj, self.table[i][j]))
+                c = ci * cj
+                for k, x in enumerate(row[j]):
+                    if x:
+                        out[k] += c * x
         return out
 
     def basis(self, i):
@@ -552,7 +556,6 @@ class DiagramCochain:
                     raise ArityMismatch(f"value on {key!r} has wrong dimension")
             if clean:
                 self.components[key] = clean
-        self._zero_cache = {}
 
     def component(self, key):
         return self.components.get(key, {})
@@ -560,25 +563,7 @@ class DiagramCochain:
     def evaluate(self, key, args):
         """Value on a tuple of coordinate vectors, by multilinear expansion."""
         dim_out = self.diagram.algebra_at(key, "dom").dim
-        table = self.component(key)
-        out = _zeros(dim_out)
-        if not table:
-            return out
-
-        def expand(prefix, weight, rest):
-            nonlocal out
-            if not rest:
-                vec = table.get(tuple(prefix))
-                if vec is not None:
-                    out = _vec_add(out, _vec_scale(weight, vec))
-                return
-            head = rest[0]
-            for idx, c in enumerate(head):
-                if c != 0:
-                    expand(prefix + [idx], weight * c, rest[1:])
-
-        expand([], Fraction(1), list(args))
-        return out
+        return _table_evaluate(self.component(key), dim_out, args)
 
     def is_zero(self) -> bool:
         return not self.components
@@ -650,6 +635,12 @@ def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
 
     with T the module map of the first morphism, phi the algebra map of the
     last, and degenerate middle faces dropped.
+
+    Arguments are basis tuples, so every term except the phi-moved last
+    face is a table lookup: T and rho act through their columns, and the
+    middle Hochschild terms expand only the one slot holding a structure
+    constant.  single_morphism_coboundary computes the same values by
+    multilinear expansion and serves as the oracle for this function.
     """
     D = gamma.diagram
     cat = D.category
@@ -661,33 +652,65 @@ def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
         for key in data.simplices[q]:
             src = D.algebra_at(key, "cod")
             dst = D.algebra_at(key, "dom")
+            faces = []
+            if q >= 1:
+                T = D.maps[key[0]]
+                phi_cols = _columns(D.maps[key[-1]])
+                faces = [(r, gamma.components[face]) for r, face in _faces(cat, key)
+                         if face in gamma.components]
+            own = gamma.component(key)  # always empty when p == 0
+            if own:
+                rho_cols = _columns(D.transport(key))
+                hoch_odd = q % 2 == 1
+                last_odd = (q + p) % 2 == 1
             table = {}
             for idx in _index_tuples(src.dim, p):
-                args = tuple(src.basis(i) for i in idx)
                 total = _zeros(dst.dim)
-                if q >= 1:
-                    for r, face in _faces(cat, key):
+                for r, comp in faces:
+                    if r == q:
+                        val = _table_evaluate(comp, dst.dim, [phi_cols[i] for i in idx])
+                    else:
+                        val = comp.get(idx)
+                        if val is None:
+                            continue
                         if r == 0:
-                            T = D.maps[key[0]]
-                            val = _mat_vec(T, gamma.evaluate(face, args))
-                        elif r == q:
-                            phi = D.maps[key[-1]]
-                            moved = tuple(_mat_vec(phi, a) for a in args)
-                            val = gamma.evaluate(face, moved)
-                        else:
-                            val = gamma.evaluate(face, args)
-                        total = _vec_add(total, _vec_scale(Fraction(-1) ** r, val))
-                if p >= 1:
-                    rho = D.transport(key)
-                    hoch = _hochschild(
-                        dst, src, rho, lambda rest: gamma.evaluate(key, rest), p, args
-                    )
-                    total = _vec_add(total, _vec_scale(Fraction(-1) ** q, hoch))
+                            val = _mat_vec(T, val)
+                    _accumulate(total, val, r % 2 == 1)
+                if own:
+                    val = own.get(idx[1:])
+                    if val is not None:
+                        _accumulate(total, dst.multiply(rho_cols[idx[0]], val), hoch_odd)
+                    for i in range(1, p):
+                        head, tail = idx[: i - 1], idx[i + 1 :]
+                        for k, c in enumerate(src.table[idx[i - 1]][idx[i]]):
+                            if c:
+                                val = own.get(head + (k,) + tail)
+                                if val is not None:
+                                    _accumulate(total, [c * x for x in val],
+                                                (q + i) % 2 == 1)
+                    val = own.get(idx[:-1])
+                    if val is not None:
+                        _accumulate(total, dst.multiply(val, rho_cols[idx[-1]]), last_odd)
                 if not _vec_is_zero(total):
                     table[idx] = total
             if table:
                 components[key] = table
     return DiagramCochain(D, n + 1, components)
+
+
+def _columns(M):
+    """The columns of a matrix: column i is the image of the i-th basis vector."""
+    return list(zip(*M))
+
+
+def _accumulate(total, vec, subtract):
+    """total += vec, or total -= vec, in place; zero entries are skipped."""
+    for k, x in enumerate(vec):
+        if x:
+            if subtract:
+                total[k] -= x
+            else:
+                total[k] += x
 
 
 # ------------------------------------------- the single-morphism special case

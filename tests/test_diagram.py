@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from diagdeform.acceptance import sample_arrow_diagram, sample_cospan_diagram
 from diagdeform.diagram import (
     ArityMismatch,
     DiagramCochain,
@@ -174,13 +176,62 @@ def cospan_diagram():
     )
 
 
+def chain_diagram():
+    """A non-constant diagram over 0 < 1 < 2, the first here with a 2-simplex:
+    its middle face m_0_2 is non-degenerate and its transport is a product of
+    two maps."""
+    return DiagramOfAlgebras(
+        SmallCategory.chain(2),
+        {0: ToyAlgebra.dual_numbers(), 1: ToyAlgebra.diagonal(2),
+         2: ToyAlgebra.diagonal(2)},
+        {"m_0_1": [[F(1), F(0)], [F(0), F(0)]],
+         "m_1_2": [[F(0), F(1)], [F(1), F(0)]],
+         "m_0_2": [[F(0), F(1)], [F(0), F(0)]]},
+    )
+
+
 def test_delta_squared_vanishes_on_random_cochains():
     rng = random.Random(2024)
-    for D in (mixed_diagram(), cospan_diagram()):
+    for D in (mixed_diagram(), cospan_diagram(), chain_diagram()):
         for degree in (0, 1, 2):
             for _ in range(3):
                 g = DiagramCochain.random(D, degree, rng)
                 assert total_coboundary(total_coboundary(g)).is_zero()
+
+
+def _coboundary_digest(cochains):
+    """Number of stored values and a SHA-256 prefix of their exact text."""
+    lines = [f"{key!r} {args!r} {' '.join(map(str, vec))}"
+             for c in cochains
+             for key in sorted(c.components, key=repr)
+             for args, vec in sorted(c.components[key].items())]
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# total_coboundary of three DiagramCochain.random(D, degree, Random(1983))
+# cochains per degree (one rng per diagram, degrees in order), recorded from
+# the multilinear-expansion implementation that evaluated every face and
+# Hochschild term on coordinate vectors.
+PINNED_COBOUNDARIES = {
+    "arrow": [(3, "ebe5ab1df9243f9b"), (27, "67ab4e8130493bc8"),
+              (37, "c3f25cf6db78df46"), (107, "fbdccf11f72cd9c2")],
+    "cospan": [(5, "62a0a1e1d052072d"), (34, "eaaf89e0ffd9653b"),
+               (48, "0a3160eba0a89b42"), (130, "c2b917001b134c4d")],
+    "chain": [(9, "d5fab5d58286fae8"), (55, "ca44cb01accda58f"),
+              (80, "d3d76ec13323ee3e"), (211, "3a1770243a83bb79")],
+}
+
+
+@pytest.mark.parametrize("name", ["arrow", "cospan", "chain"])
+def test_total_coboundary_values_are_pinned(name):
+    D = {"arrow": sample_arrow_diagram, "cospan": sample_cospan_diagram,
+         "chain": chain_diagram}[name]()
+    rng = random.Random(1983)
+    got = []
+    for degree in range(4):
+        cochains = [DiagramCochain.random(D, degree, rng) for _ in range(3)]
+        got.append(_coboundary_digest([total_coboundary(g) for g in cochains]))
+    assert got == PINNED_COBOUNDARIES[name]
 
 
 def test_single_morphism_matches_total_coboundary():

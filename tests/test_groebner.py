@@ -182,3 +182,25 @@ def test_spoly_lcm_sanity():
     s = s_polynomial(f, g)
     assert s == X - Z or s == -(X - Z)
     assert m_lcm((1, 1, 0, 0), (0, 1, 1, 0)) == (1, 1, 1, 0)
+
+
+def test_buchberger_matches_sympy_groebner():
+    sympy = pytest.importorskip("sympy")
+    x, y, z, w, lm = sympy.symbols("x y z w lambda")
+    field = sympy.QQ.frac_field(lm)
+
+    def unipoly(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * lm**k
+                   for k, c in enumerate(p.coeffs))
+
+    def to_sympy(g):
+        expr = sum(unipoly(c.num) / unipoly(c.den) * x**a * y**b * z**e * w**f
+                   for (a, b, e, f), c in g.terms.items())
+        return sympy.Poly(expr, x, y, z, w, domain=field).monic()
+
+    expected = sympy.groebner([x * y - 1, (x - 1) * z - 1, (x - lm) * w - 1],
+                              x, y, z, w, order="grevlex", domain=field)
+    ours = [to_sympy(g) for g in buchberger(sphere_ideal()).basis]
+    theirs = [p.monic() for p in expected.polys]
+    assert len(ours) == len(theirs) == 6
+    assert all(p in theirs for p in ours)
