@@ -313,6 +313,8 @@ def _cmd_weyl_stirling(args):
 
 
 def _cmd_weyl_center(args):
+    if args.n < 1:
+        raise ValueError("n must be at least 1")
     reports = [commutator_divisibility(n) for n in range(1, args.n + 1)]
     return _report(
         "weyl center",

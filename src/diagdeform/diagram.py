@@ -36,6 +36,7 @@ import random
 from fractions import Fraction
 
 from .linalg import rref
+from .scalars import _fr
 
 __all__ = [
     "ArityMismatch",
@@ -73,10 +74,6 @@ class TypeMismatch(ValueError):
 
 
 # ----------------------------------------------------------- linear algebra
-
-
-def _fr(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def _zeros(n):
@@ -332,6 +329,8 @@ def nerve(cat: SmallCategory, maxdim: int) -> NerveData:
 
 def simplicial_cohomology(cat: SmallCategory, maxdim: int):
     """Ranks of H^0 .. H^maxdim of the nerve with constant QQ coefficients."""
+    if maxdim < 0:
+        raise ValueError("maxdim must be nonnegative")
     data = nerve(cat, maxdim + 1)
     ranks = []
     for q in range(maxdim + 2):
@@ -559,11 +558,6 @@ class DiagramCochain:
 
     def component(self, key):
         return self.components.get(key, {})
-
-    def evaluate(self, key, args):
-        """Value on a tuple of coordinate vectors, by multilinear expansion."""
-        dim_out = self.diagram.algebra_at(key, "dom").dim
-        return _table_evaluate(self.component(key), dim_out, args)
 
     def is_zero(self) -> bool:
         return not self.components

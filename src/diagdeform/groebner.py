@@ -374,12 +374,7 @@ def rational_roots(p: UniPoly):
         p = p.shift_down(v)
     if p.degree == 0:
         return roots, p
-    from math import gcd
-
-    denlcm = 1
-    for c in p.coeffs:
-        denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in p.coeffs]
+    ints = p.ints  # p up to its common denominator: same roots
 
     def divisors(n):
         n = abs(n)
@@ -428,10 +423,9 @@ def exceptional_values(run: GroebnerRun):
     for p in polys:
         if p.is_const():
             continue
-        key = (p.var, p.coeffs)
-        if key in seen:
+        if p in seen:
             continue
-        seen.add(key)
+        seen.add(p)
         rs, cofactor = rational_roots(p)
         roots.update(rs)
         if cofactor.degree >= 1:

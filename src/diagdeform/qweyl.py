@@ -355,6 +355,8 @@ def stirling_first(n: int):
     in the single element u = xy with coefficients the elementary symmetric
     functions of the q-integers [1], ..., [k-1].
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     ring = RatFuncRing(QVAR)
     W = symbolic()
     triangle = {}
@@ -375,6 +377,8 @@ def stirling_first(n: int):
 def stirling_second(n: int):
     """Triangle S[m][k] = coefficient of x^k y^k in the normal form of
     (xy)^m, computed by honest multiplication in W_q."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     W = symbolic()
     u = W.multiply(W.x, W.y)
     triangle = {}
@@ -396,6 +400,8 @@ def stirling_inverse_check(n: int) -> bool:
     rows are divided by the pochhammer power q^(k(k-1)/2).  This checks
     both matrix products against the identity, exactly over QQ(q).
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     ring = RatFuncRing(QVAR)
     q = RatFunc.gen(QVAR)
     first = stirling_first(n)

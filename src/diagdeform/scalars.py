@@ -19,6 +19,7 @@ elements.  All equality is structural and exact; nothing here ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 LAMBDA = "lambda"
@@ -66,83 +67,128 @@ def _check_tags(a: str, b: str) -> None:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Fraction with a variable tag.
+    """Dense univariate polynomial over QQ with a variable tag.
 
-    Coefficients are stored lowest degree first and trimmed, so the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    The coefficients are stored as integer numerators ``ints``, lowest
+    degree first and trimmed, over one positive common denominator
+    ``denom`` that shares no factor with all of them.  The form is
+    canonical, so equal polynomials have equal fields; the zero polynomial
+    has ``ints == ()``, ``denom == 1`` and degree -1.  All arithmetic runs
+    on the integers and reduces each result once; ``coeffs`` rebuilds the
+    rational coefficients for readers that want them.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "ints", "denom")
 
     def __init__(self, var: str, coeffs):
         cs = [_fr(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
+        # With denom the lcm of the denominators, the numerators n * denom / d
+        # of the c = n/d already share no factor with it.
+        denom = lcm(*(c.denominator for c in cs)) if cs else 1
         self.var = var
-        self.coeffs = tuple(cs)
+        self.ints = tuple(c.numerator * (denom // c.denominator) for c in cs)
+        self.denom = denom
+
+    @classmethod
+    def _from_ints(cls, var: str, ints: list, denom: int = 1) -> "UniPoly":
+        """Trusted constructor for kernel results: a list of integer
+        numerators over a positive denominator, trimmed and reduced here."""
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            denom = 1
+        elif denom != 1:
+            g = gcd(denom, *ints)
+            if g != 1:
+                ints = [c // g for c in ints]
+                denom //= g
+        p = object.__new__(cls)
+        p.var = var
+        p.ints = tuple(ints)
+        p.denom = denom
+        return p
 
     @classmethod
     def const(cls, var: str, value) -> "UniPoly":
-        return cls(var, [_fr(value)])
+        value = _fr(value)
+        return cls._from_ints(var, [value.numerator], value.denominator)
 
     @classmethod
     def zero(cls, var: str) -> "UniPoly":
-        return cls(var, [])
+        return cls._from_ints(var, [])
 
     @classmethod
     def one(cls, var: str) -> "UniPoly":
-        return cls(var, [1])
+        return cls._from_ints(var, [1])
 
     @classmethod
     def gen(cls, var: str) -> "UniPoly":
-        return cls(var, [0, 1])
+        return cls._from_ints(var, [0, 1])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients, lowest degree first and trimmed."""
+        return tuple(Fraction(c, self.denom) for c in self.ints)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.ints) <= 1
 
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coefficient(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.denom)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return Fraction(self.ints[k], self.denom)
         return Fraction(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return (self.var == other.var and self.ints == other.ints
+                and self.denom == other.denom)
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self.ints, self.denom))
 
     def __neg__(self):
-        return UniPoly(self.var, [-c for c in self.coeffs])
+        return UniPoly._from_ints(self.var, [-c for c in self.ints], self.denom)
 
     def __add__(self, other):
         if not isinstance(other, (UniPoly, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
         _check_tags(self.var, other.var)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.var, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        a, b = self.ints, other.ints
+        da, db = self.denom, other.denom
+        if da != db:
+            d = lcm(da, db)
+            a = [c * (d // da) for c in a]
+            b = [c * (d // db) for c in b]
+            da = d
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return UniPoly._from_ints(self.var, out, da)
 
     __radd__ = __add__
 
@@ -159,14 +205,17 @@ class UniPoly:
             return NotImplemented
         other = self._coerce(other)
         _check_tags(self.var, other.var)
-        if self.is_zero() or other.is_zero():
+        a, b = self.ints, other.ints
+        if not a or not b:
             return UniPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(self.var, out)
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(b):
+            if x:
+                for j, y in enumerate(a, i):
+                    out[j] += x * y
+        return UniPoly._from_ints(self.var, out, self.denom * other.denom)
 
     __rmul__ = __mul__
 
@@ -187,24 +236,27 @@ class UniPoly:
             return other
         return UniPoly.const(self.var, other)
 
+    def _times(self, n: int, d: int) -> "UniPoly":
+        """self * (n/d) for integers n and d != 0."""
+        if d < 0:
+            n, d = -n, -d
+        return UniPoly._from_ints(self.var, [c * n for c in self.ints], self.denom * d)
+
     def __divmod__(self, other):
         other = self._coerce(other)
         _check_tags(self.var, other.var)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = other.degree
-        lead = other.leading()
-        if len(rem) - 1 < dq:
+        if len(self.ints) < len(other.ints):
             return UniPoly.zero(self.var), self
-        quot = [Fraction(0)] * (len(rem) - dq)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            if rem[i]:
-                c = rem[i] / lead
-                quot[i - dq] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - dq + j] -= c * b
-        return UniPoly(self.var, quot), UniPoly(self.var, rem[:dq])
+        if len(other.ints) == 1:
+            return self._times(other.denom, other.ints[0]), UniPoly.zero(self.var)
+        # self = a/da and other = b/db with s * a == quot * b + rem, so
+        # self == (quot * db / (s * da)) * other + rem / (s * da).
+        quot, rem, s = _pseudo_divmod(self.ints, other.ints)
+        d = s * self.denom
+        return (UniPoly._from_ints(self.var, [c * other.denom for c in quot], d),
+                UniPoly._from_ints(self.var, rem, d))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -215,19 +267,24 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        lead = self.leading()
-        return UniPoly(self.var, [c / lead for c in self.coeffs])
+        return self._times(self.denom, self.ints[-1])
 
     def evaluate(self, value) -> Fraction:
+        # sum c_k (p/s)^k over denom, as one integer over denom * s^degree
         value = _fr(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        if not self.ints:
+            return Fraction(0)
+        p, s = value.numerator, value.denominator
+        acc = 0
+        scale = 1
+        for c in reversed(self.ints):
+            acc = acc * p + c * scale
+            scale *= s
+        return Fraction(acc, self.denom * scale // s)
 
     def valuation(self):
         """Index of the lowest nonzero coefficient, or None for zero."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.ints):
             if c:
                 return i
         return None
@@ -236,18 +293,19 @@ class UniPoly:
         """Divide by var**v, assuming the valuation allows it."""
         if v == 0:
             return self
-        assert all(c == 0 for c in self.coeffs[:v])
-        return UniPoly(self.var, self.coeffs[v:])
+        assert not any(self.ints[:v])
+        return UniPoly._from_ints(self.var, list(self.ints[v:]), self.denom)
 
     def to_json(self):
         return [str(c) for c in self.coeffs]
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        coeffs = self.coeffs
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             if k == 0:
@@ -266,14 +324,72 @@ class UniPoly:
         return f"UniPoly({self.var!r}, {list(self.coeffs)!r})"
 
 
+def _pseudo_divmod(a, b):
+    """Division of integer coefficient lists, len(a) >= len(b) >= 2.
+
+    Returns (quot, rem, s) with s * a == quot * b + rem, len(rem) < len(b)
+    and s > 0.  The running remainder is scaled up only when its leading
+    entry is not divisible by the leading entry of b, so s stays 1 for a
+    monic divisor.
+    """
+    n = len(b) - 1
+    lead = b[-1]
+    lower = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    rem = list(a)
+    quot = [0] * (len(a) - n)
+    s = 1
+    for i in range(len(a) - 1, n - 1, -1):
+        r = rem[i]
+        if not r:
+            continue
+        f = abs(lead) // gcd(r, lead)
+        if f != 1:
+            rem = [c * f for c in rem[: i + 1]]
+            quot = [c * f for c in quot]
+            s *= f
+            r = rem[i]
+        c = r // lead
+        quot[i - n] = c
+        base = i - n
+        for j, bj in lower:
+            rem[base + j] -= c * bj
+    return quot, rem[:n], s
+
+
+def _primitive(c: list) -> list:
+    """Trimmed integer list divided by its content."""
+    while c and not c[-1]:
+        c.pop()
+    g = gcd(*c)
+    return [x // g for x in c] if g > 1 else c
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd (zero only when both are zero).
+
+    A nonzero constant operand makes it 1 and a monomial c * v^k makes it
+    v^min(k, valuation of the other); otherwise Euclid runs on primitive
+    integer parts (the primitive PRS of Collins, JACM 14, 1967).
+    """
     _check_tags(a.var, b.var)
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    if not b.ints:
+        return a.monic()
+    if not a.ints:
+        return b.monic()
+    x, y = a.ints, b.ints
+    if len(x) == 1 or len(y) == 1:
+        return UniPoly.one(a.var)
+    vx, vy = a.valuation(), b.valuation()
+    if vx == len(x) - 1 or vy == len(y) - 1:
+        return UniPoly._from_ints(a.var, [0] * min(vx, vy) + [1])
+    x, y = _primitive(list(x)), _primitive(list(y))
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        x, y = y, _primitive(_pseudo_divmod(x, y)[1])
+    if y:
+        return UniPoly.one(a.var)
+    return UniPoly._from_ints(a.var, x).monic()
 
 
 class RatFunc:
@@ -292,9 +408,10 @@ class RatFunc:
             if g.degree > 0:
                 num = num // g
                 den = den // g
-            lead = den.leading()
-            if lead != 1:
-                num = num * UniPoly.const(num.var, 1 / lead)
+            # the leading coefficient of den is lead / den.denom
+            lead = den.ints[-1]
+            if lead != den.denom:
+                num = num._times(den.denom, lead)
                 den = den.monic()
         self.num = num
         self.den = den

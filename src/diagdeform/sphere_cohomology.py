@@ -141,6 +141,8 @@ def canonical_class(gamma_f: SphereElement, gamma_g: SphereElement, regular=Fals
 
 def h2_basis(cutoff: int, regular=False):
     """Basis of canonical representatives up to the given pole order."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     reps = [SphereClassRep(x_coeff=RatFunc.one(LAMBDA))]
     if not regular:
         for m in range(1, cutoff + 1):

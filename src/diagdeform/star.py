@@ -32,15 +32,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import TruncSeries, exp_hbar
+from .scalars import TruncSeries, _fr, exp_hbar
 
 
 class NonCommutingDerivations(ValueError):
     """A custom spec listed derivations that fail to commute."""
-
-
-def _fr(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 class Poly2:

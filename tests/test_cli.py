@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -141,6 +142,11 @@ def test_encoder_exact_scalars():
     ["star", "check", "--kind", "moyal", "--order", "-1"],
     ["sphere", "series-check", "--order", "-1"],
     ["weyl", "eta", "--order", "0"],
+    ["weyl", "stirling", "--n", "0"],
+    ["weyl", "stirling", "--n", "-3"],
+    ["weyl", "center", "--n", "0"],
+    ["sphere", "h2", "--cutoff", "-1"],
+    ["diagram", "nerve", "--maxdim", "-1"],
 ])
 def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {"{list}": "[]", "{zero}": '{"gammaF": [[1, 2, "1/0"]]}'}
@@ -153,3 +159,29 @@ def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.strip() and "\n" not in err.strip()
+
+
+# SHA-256 of the exact `--json` stdout, recorded before the scalar layer was
+# moved onto integer numerators; any change to a reported byte shows here.
+PINNED_REPORTS = [
+    (["weyl", "stirling", "--n", "6"],
+     "b8333c4a9d5d53a0acb9832efcdedbb30ce11fab5a732dacc7efd63fd9436179"),
+    (["weyl", "center", "--n", "8"],
+     "a1ebe8fa266463459abd1b0e38e69144e08e4a4449d3e2a4229d0f08fc41ff83"),
+    (["weyl", "closed-form", "--order", "10"],
+     "a1dd08bd37f2457a13808bca6033a3dba5ad59ab5d1908e34bc399e96311ed82"),
+    (["groebner", "run"],
+     "b26370e4efef151560409ff48c26f5fc397c3941b37bb79ab991e5197db2136a"),
+    (["sphere", "h2", "--cutoff", "4"],
+     "5f1de220bb7d554de6bef18a12621fd838d9f3cfcfa75539aea7112aeb5ed1c2"),
+    (["acceptance", "--filter", "q-weyl-identities"],
+     "63d6b7c02806da3b80fb727935a0b0b6ee5a4791233908d13dc9ad58e7e36f44"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_REPORTS,
+                         ids=[" ".join(a) for a, _ in PINNED_REPORTS])
+def test_json_report_bytes_are_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

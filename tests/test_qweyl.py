@@ -144,6 +144,13 @@ def test_stirling_mutually_inverse():
     assert stirling_inverse_check(5)
 
 
+@pytest.mark.parametrize("fn", [stirling_first, stirling_second, stirling_inverse_check])
+@pytest.mark.parametrize("n", [0, -3])
+def test_stirling_rejects_vacuous_sizes(fn, n):
+    with pytest.raises(ValueError):
+        fn(n)
+
+
 def test_commutator_divisibility():
     rep = commutator_divisibility(2)
     assert rep["divisible"]

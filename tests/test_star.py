@@ -29,6 +29,12 @@ def test_poly2_arithmetic():
     assert Poly2.const(Fraction(3, 2)).scale(2) == 3
 
 
+def test_poly2_rejects_float_coefficients():
+    # Fraction(0.1) would silently store the binary float, not 1/10
+    with pytest.raises(TypeError):
+        Poly2({(0, 0): 0.1})
+
+
 def test_derivation_leibniz():
     rng = random.Random(41)
     d = Derivation(Poly2.x(), Poly2.monomial(0, 2))
