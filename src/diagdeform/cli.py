@@ -407,6 +407,8 @@ def _cmd_diagram_nerve(args):
 def _cmd_diagram_delta2(args):
     import random as _random
 
+    if args.trials < 1:
+        raise ValueError("need at least one trial")
     D = sample_arrow_diagram() if args.shape == "arrow" else sample_cospan_diagram()
     rng = _random.Random(args.seed)
     ok = True

@@ -331,6 +331,8 @@ def pochhammer_xy(n: int):
     of that shape.  The exponent is read off the computed coefficient, not
     assumed.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     W = symbolic()
     u = W.multiply(W.x, W.y)
     P = u
@@ -434,6 +436,8 @@ def commutator_divisibility(n: int):
     coefficient was exactly divisible as a polynomial, which is the reason
     the center of the undeformed algebra collapses at roots of unity.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     W = symbolic()
     yn = W.monomial(0, n)
     xn = W.monomial(n, 0)

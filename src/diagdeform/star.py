@@ -22,6 +22,11 @@ degree and need not terminate, so star always returns a truncated series
 together with an exactness flag saying whether the operator had annihilated
 the tensor by the requested order.
 
+The operator sum_i phi_i (x) psi_i is compiled once per spec into integer
+terms over one denominator, and star applies it to a single merged tensor
+a (x) b held as integer numerators over one running denominator, so the
+tensor never outgrows the support of its monomial pairs.
+
 Degrees here are graded with deg x = +1, deg y = -1; all three built-in
 specs preserve that grading, which grading_check exercises on random
 homogeneous inputs.
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .scalars import TruncSeries, _fr, exp_hbar
 
@@ -51,6 +57,14 @@ class Poly2:
             if c:
                 clean[(i, j)] = c
         self.terms = clean
+
+    @classmethod
+    def _from_clean(cls, terms: dict) -> "Poly2":
+        """Trusted constructor for kernel results: a dict of nonzero
+        Fraction coefficients, stored as given."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "Poly2":
@@ -89,7 +103,7 @@ class Poly2:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return Poly2({k: -c for k, c in self.terms.items()})
+        return Poly2._from_clean({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -98,8 +112,13 @@ class Poly2:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Poly2(out)
+            if k in out:
+                c += out[k]
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return Poly2._from_clean(out)
 
     __radd__ = __add__
 
@@ -122,20 +141,27 @@ class Poly2:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return Poly2(out)
+                if k in out:
+                    out[k] += c1 * c2
+                else:
+                    out[k] = c1 * c2
+        return Poly2._from_clean({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly2":
         c = _fr(c)
-        return Poly2({k: c * v for k, v in self.terms.items()})
+        if not c:
+            return Poly2.zero()
+        return Poly2._from_clean({k: c * v for k, v in self.terms.items()})
 
     def dx(self) -> "Poly2":
-        return Poly2({(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
+        return Poly2._from_clean(
+            {(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
 
     def dy(self) -> "Poly2":
-        return Poly2({(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
+        return Poly2._from_clean(
+            {(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
 
     def degrees(self):
         """Set of graded degrees i - j present (deg x = 1, deg y = -1)."""
@@ -195,6 +221,14 @@ class Poly2Ring:
 P2 = Poly2Ring()
 
 
+def _integer_form(*polys):
+    """Integer numerators of each poly, by monomial, over their common
+    denominator: returns ([dict per poly], denominator)."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [{k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}
+            for p in polys], den
+
+
 class Derivation:
     """A derivation of k[x,y], determined by its values on x and y."""
 
@@ -206,6 +240,16 @@ class Derivation:
 
     def __call__(self, p: Poly2) -> Poly2:
         return self.px * p.dx() + self.py * p.dy()
+
+    def _integer_action(self):
+        """The action on x^i y^j as integer terms over one denominator.
+
+        A term (di, dj, s, n) contributes n * (i, j)[s] x^(i+di) y^(j+dj);
+        the derivation is the sum of its terms over the returned denominator.
+        """
+        (px, py), den = _integer_form(self.px, self.py)
+        return ([(a - 1, b, 0, n) for (a, b), n in px.items()]
+                + [(a, b - 1, 1, n) for (a, b), n in py.items()]), den
 
     def commutes_with(self, other: "Derivation") -> bool:
         """Whether [self, other] = 0, checked on the generators.
@@ -224,11 +268,46 @@ class Derivation:
 class StarSpec:
     """A named list of derivation pairs defining the exponential product."""
 
-    __slots__ = ("kind", "pairs")
+    __slots__ = ("kind", "pairs", "_ops", "_den")
 
     def __init__(self, kind: str, pairs):
         self.kind = kind
         self.pairs = tuple(pairs)
+        self._compile()
+
+    def _compile(self):
+        """Compile sum_i phi_i (x) psi_i into integer terms over self._den.
+
+        A term (di1, dj1, s1, di2, dj2, s2, w) sends the tensor key
+        k = (i1, j1, i2, j2) to (i1+di1, j1+dj1, i2+di2, j2+dj2) with weight
+        w * k[s1] * k[s2]; terms with the same shift and slots are merged.
+        """
+        actions = [(phi._integer_action(), psi._integer_action())
+                   for phi, psi in self.pairs]
+        den = lcm(*(d1 * d2 for (_, d1), (_, d2) in actions))
+        ops = {}
+        for (terms1, d1), (terms2, d2) in actions:
+            scale = den // (d1 * d2)
+            for di1, dj1, s1, n1 in terms1:
+                for di2, dj2, s2, n2 in terms2:
+                    key = (di1, dj1, s1, di2, dj2, s2 + 2)
+                    ops[key] = ops.get(key, 0) + n1 * n2 * scale
+        self._ops = tuple(key + (w,) for key, w in ops.items() if w)
+        self._den = den
+
+    def _apply(self, tensor: dict) -> dict:
+        """The operator on an integer tensor {(i1, j1, i2, j2): n}; the
+        result is over one more factor self._den, equal keys merged and
+        zeros dropped."""
+        out = {}
+        for key, v in tensor.items():
+            i1, j1, i2, j2 = key
+            for di1, dj1, s1, di2, dj2, s2, w in self._ops:
+                m = key[s1] * key[s2]
+                if m:
+                    k = (i1 + di1, j1 + dj1, i2 + di2, j2 + dj2)
+                    out[k] = out.get(k, 0) + v * w * m
+        return {k: v for k, v in out.items() if v}
 
     @classmethod
     def normal(cls) -> "StarSpec":
@@ -268,6 +347,15 @@ class StarSpec:
         return f"StarSpec({self.kind})"
 
 
+def _contract(tensor: dict, den: int) -> Poly2:
+    """mu(tensor) / den: multiply out every monomial pair and sum."""
+    acc = {}
+    for (i1, j1, i2, j2), n in tensor.items():
+        k = (i1 + i2, j1 + j2)
+        acc[k] = acc.get(k, 0) + n
+    return Poly2._from_clean({k: Fraction(n, den) for k, n in acc.items() if n})
+
+
 def star(a: Poly2, b: Poly2, spec: StarSpec, order: int):
     """The truncated star product, as (series over Poly2, exact flag).
 
@@ -278,36 +366,18 @@ def star(a: Poly2, b: Poly2, spec: StarSpec, order: int):
     """
     if order < 0:
         raise ValueError("negative truncation order")
-    coeffs = [a * b]
-    cur = [(a, b)]
-    factorial = 1
+    (ai, bi), den = _integer_form(a, b)
+    tensor = {(i1, j1, i2, j2): u * v
+              for (i1, j1), u in ai.items() for (i2, j2), v in bi.items()}
+    den *= den
+    coeffs = [_contract(tensor, den)]
     for k in range(1, order + 1):
-        nxt = []
-        for (u, v) in cur:
-            for phi, psi in spec.pairs:
-                pu, pv = phi(u), psi(v)
-                if not pu.is_zero() and not pv.is_zero():
-                    nxt.append((pu, pv))
-        cur = nxt
-        if not cur:
+        tensor = spec._apply(tensor)
+        if not tensor:
             break
-        factorial *= k
-        term = Poly2.zero()
-        for (u, v) in cur:
-            term = term + u * v
-        coeffs.append(term.scale(Fraction(1, factorial)))
-    exact = not cur
-    if not exact:
-        probe = []
-        for (u, v) in cur:
-            for phi, psi in spec.pairs:
-                pu, pv = phi(u), psi(v)
-                if not pu.is_zero() and not pv.is_zero():
-                    probe.append((pu, pv))
-                    break
-            if probe:
-                break
-        exact = not probe
+        den *= spec._den * k
+        coeffs.append(_contract(tensor, den))
+    exact = not tensor or not spec._apply(tensor)
     return TruncSeries(P2, order, coeffs), exact
 
 

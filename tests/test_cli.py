@@ -147,6 +147,7 @@ def test_encoder_exact_scalars():
     ["weyl", "center", "--n", "0"],
     ["sphere", "h2", "--cutoff", "-1"],
     ["diagram", "nerve", "--maxdim", "-1"],
+    ["diagram", "delta2", "--trials", "0"],
 ])
 def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {"{list}": "[]", "{zero}": '{"gammaF": [[1, 2, "1/0"]]}'}
@@ -176,6 +177,15 @@ PINNED_REPORTS = [
      "5f1de220bb7d554de6bef18a12621fd838d9f3cfcfa75539aea7112aeb5ed1c2"),
     (["acceptance", "--filter", "q-weyl-identities"],
      "63d6b7c02806da3b80fb727935a0b0b6ee5a4791233908d13dc9ad58e7e36f44"),
+    # recorded before star products moved onto one merged integer tensor
+    (["star", "check", "--kind", "normal"],
+     "ad93882ac38819fce6e7d707445f491c4cc45063d308b7339c26c2ba1a22e194"),
+    (["star", "check", "--kind", "moyal"],
+     "586cf62132e8be7670ac9fb505cfd08fd2c03de14e6a695436331de1fb0f8528"),
+    (["star", "check", "--kind", "qplane"],
+     "47812100f04bfacec0e2dbaf53b05f90e01e54beac9d1d4d73d1fac0419b31e7"),
+    (["acceptance", "--filter", "star-products"],
+     "0e3f24e25922f7842d7be5482565c7676377798c63e9a3fd94cd1257b199b70c"),
 ]
 
 

@@ -151,6 +151,14 @@ def test_stirling_rejects_vacuous_sizes(fn, n):
         fn(n)
 
 
+@pytest.mark.parametrize("fn", [pochhammer_xy, commutator_divisibility])
+@pytest.mark.parametrize("n", [0, -3])
+def test_pochhammer_and_divisibility_reject_vacuous_sizes(fn, n):
+    # an empty product or the zero q-integer [0] would read as a verdict
+    with pytest.raises(ValueError):
+        fn(n)
+
+
 def test_commutator_divisibility():
     rep = commutator_divisibility(2)
     assert rep["divisible"]

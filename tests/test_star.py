@@ -8,6 +8,7 @@ from diagdeform.star import (
     NonCommutingDerivations,
     Poly2,
     StarSpec,
+    _random_poly,
     associativity_check,
     embed,
     grading_check,
@@ -27,6 +28,15 @@ def test_poly2_arithmetic():
     assert (X * Y).dx() == Y
     assert (X * Y * Y).dy() == Poly2.monomial(1, 1, 2)
     assert Poly2.const(Fraction(3, 2)).scale(2) == 3
+
+
+def test_poly2_arithmetic_drops_zero_terms():
+    p = X * X + Y
+    assert (p + (-X * X)).terms == {(0, 1): 1}
+    assert (p - p).terms == {}
+    assert ((X + Y) * (X - Y)).terms == {(2, 0): 1, (0, 2): -1}
+    assert p.scale(0).terms == {}
+    assert Y.dx().terms == {} and X.dy().terms == {}
 
 
 def test_poly2_rejects_float_coefficients():
@@ -72,6 +82,21 @@ def test_star_zeroth_coefficient_is_commutative_product():
             b = Poly2({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)})
             s, _ = star(a, b, spec, 4)
             assert s.coeffs[0] == a * b
+
+
+def test_exact_flag_sees_cancelled_tensor():
+    # each Moyal branch of D^3(a (x) b) is nonzero, but all of them land on
+    # the constant monomial pair and cancel there, so D^3(a (x) b) = 0
+    rng = random.Random(289)
+    a, b = _random_poly(rng), _random_poly(rng)
+    spec = StarSpec.moyal()
+    full, exact = star(a, b, spec, 8)
+    assert exact
+    assert not full.coeffs[2].is_zero()
+    assert all(c.is_zero() for c in full.coeffs[3:])
+    cut, exact = star(a, b, spec, 2)
+    assert exact
+    assert cut.coeffs == full.coeffs[:3]
 
 
 def test_unit_law_exact():
