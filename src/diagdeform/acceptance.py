@@ -42,7 +42,6 @@ from .groebner import (
     standard_monomials,
 )
 from .qweyl import (
-    classical,
     commutator_divisibility,
     deformed,
     pochhammer_xy,
@@ -50,7 +49,7 @@ from .qweyl import (
     symbolic,
 )
 from .scalars import LAMBDA, RatFunc, TruncSeries
-from .sphere import SPHERE, SphereElement, geometric_series_check
+from .sphere import SphereElement, geometric_series_check
 from .sphere_cohomology import SphereClassRep, canonical_class, h2_basis
 from .star import P2, Poly2, StarSpec, associativity_check, grading_check, star_commutator
 from .w1diagram import (

@@ -356,9 +356,7 @@ def _cmd_weyl_recursion(args):
 
 
 def _cmd_star_check(args):
-    kinds = {"normal": StarSpec.normal, "moyal": StarSpec.moyal,
-             "qplane": StarSpec.qplane}
-    spec = kinds[args.kind]()
+    spec = StarSpec.named(args.kind)
     order = args.order if args.order is not None else (5 if args.kind == "qplane" else 6)
     assoc = associativity_check(spec, order=order, trials=args.trials, seed=args.seed)
     grading = grading_check(spec, trials=25, seed=args.seed + 1)

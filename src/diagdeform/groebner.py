@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .scalars import LAMBDA, RatFunc, UniPoly
+from .scalars import LAMBDA, RatFunc, RatFuncRing, SparsePoly, UniPoly, as_ratfunc
 
 VARS = ("x", "y", "z", "w")
 NVARS = 4
@@ -66,16 +66,18 @@ def monomial_str(m):
     return "*".join(bits) or "1"
 
 
-class MultiPoly:
+class MultiPoly(SparsePoly):
     """Sparse polynomial in x, y, z, w over QQ(lambda)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    ring = RatFuncRing(LAMBDA)
+    _one_key = (0,) * NVARS
 
     def __init__(self, terms=None):
         clean = {}
         for m, c in (terms or {}).items():
-            if not isinstance(c, RatFunc):
-                c = RatFunc.const(LAMBDA, c) if isinstance(c, (int, Fraction)) else RatFunc.from_poly(c)
+            c = as_ratfunc(c, LAMBDA)
             if not c.is_zero():
                 clean[tuple(m)] = c
         self.terms = clean
@@ -85,9 +87,7 @@ class MultiPoly:
         out = {}
         for m, c in pairs:
             m = tuple(m)
-            if not isinstance(c, RatFunc):
-                c = RatFunc.const(LAMBDA, c) if isinstance(c, (int, Fraction)) else RatFunc.from_poly(c)
-            out[m] = out.get(m, _zero) + c
+            out[m] = out.get(m, _zero) + as_ratfunc(c, LAMBDA)
         return cls(out)
 
     @classmethod
@@ -98,32 +98,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({(0, 0, 0, 0): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return MultiPoly({m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _zero) + c
-        return MultiPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return cls({cls._one_key: c})
 
     def __mul__(self, other):
         if isinstance(other, (RatFunc, int, Fraction)):
@@ -138,11 +113,6 @@ class MultiPoly:
         return MultiPoly(out)
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        if not isinstance(c, RatFunc):
-            c = RatFunc.const(LAMBDA, c)
-        return MultiPoly({m: c * v for m, v in self.terms.items()})
 
     def term_mul(self, mono, coeff):
         return MultiPoly({m_mul(m, mono): c * coeff for m, c in self.terms.items()})
@@ -181,8 +151,6 @@ class MultiPoly:
             else:
                 bits.append(f"({c})*{monomial_str(m)}")
         return " + ".join(bits)
-
-    __repr__ = __str__
 
 
 def normal_form(p: MultiPoly, basis, pivot_log=None):
@@ -238,9 +206,6 @@ class GroebnerRun:
         self.pivot_log = pivot_log
         self.spairs_reduced = spairs_reduced
         self.spairs_skipped = spairs_skipped
-
-    def leading_monomials(self):
-        return [g.leading_monomial() for g in self.basis]
 
 
 def buchberger(generators) -> GroebnerRun:

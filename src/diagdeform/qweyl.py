@@ -31,16 +31,16 @@ from .scalars import (
     RatFunc,
     RatFuncRing,
     SeriesRing,
-    TruncSeries,
+    SparsePoly,
     UniPoly,
     one_plus_hbar,
 )
 
 
-class PseudoPoly:
+class PseudoPoly(SparsePoly):
     """Sparse normal-form element sum c_ij x^i y^j of a QWeyl algebra."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: "QWeyl", terms):
         clean = {}
@@ -51,41 +51,15 @@ class PseudoPoly:
         self.algebra = algebra
         self.terms = clean
 
-    def coefficient(self, i: int, j: int):
-        return self.terms.get((i, j), self.algebra.ring.zero)
+    @property
+    def ring(self):
+        return self.algebra.ring
 
-    def support(self):
-        return sorted(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PseudoPoly):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return PseudoPoly(self.algebra, {k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        other = self.algebra.coerce(other)
-        out = dict(self.terms)
-        ring = self.algebra.ring
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ring.zero) + c
-        return PseudoPoly(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self.algebra.coerce(other))
-
-    def __rsub__(self, other):
-        return self.algebra.coerce(other) - self
+    def _like(self, terms: dict) -> "PseudoPoly":
+        p = object.__new__(PseudoPoly)
+        p.algebra = self.algebra
+        p.terms = terms
+        return p
 
     def __mul__(self, other):
         if isinstance(other, PseudoPoly):
@@ -93,17 +67,7 @@ class PseudoPoly:
         return self.scale(other)
 
     def __rmul__(self, other):
-        if isinstance(other, PseudoPoly):
-            return self.algebra.multiply(other, self)
         return self.scale(other)
-
-    def scale(self, scalar) -> "PseudoPoly":
-        if not hasattr(scalar, "__mul__"):
-            return NotImplemented
-        ring = self.algebra.ring
-        if isinstance(scalar, (int, Fraction)):
-            scalar = ring.from_rational(scalar)
-        return PseudoPoly(self.algebra, {k: scalar * c for k, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -112,41 +76,6 @@ class PseudoPoly:
         for _ in range(n):
             result = self.algebra.multiply(result, self)
         return result
-
-    def degrees(self):
-        """Set of grading degrees i - j appearing in the support."""
-        return sorted({i - j for (i, j) in self.terms})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def total_degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(i + j for (i, j) in self.terms)
-
-    def to_json(self):
-        def enc(c):
-            return c.to_json() if hasattr(c, "to_json") else str(c)
-
-        return [[i, j, enc(self.terms[(i, j)])] for (i, j) in self.support()]
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in self.support():
-            c = self.terms[(i, j)]
-            mon = ("x" if i == 1 else f"x^{i}" if i else "") + (
-                "y" if j == 1 else f"y^{j}" if j else ""
-            )
-            if not mon:
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})*{mon}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 class QWeyl:
@@ -163,13 +92,25 @@ class QWeyl:
         self._shift_cache = {}
 
     def coerce(self, v) -> PseudoPoly:
-        if isinstance(v, PseudoPoly):
-            if v.algebra is not self:
-                raise ValueError("element belongs to a different algebra context")
-            return v
-        if isinstance(v, (int, Fraction)):
-            return PseudoPoly(self, {(0, 0): self.ring.from_rational(v)})
+        """v as an element of this algebra; a scalar becomes a constant."""
+        if isinstance(v, (PseudoPoly, int, Fraction)):
+            return self.zero._coerce(v)
         return PseudoPoly(self, {(0, 0): v})
+
+    # The algebra is also the ring adapter of its own elements, so that
+    # TruncSeries can carry PseudoPoly coefficients.
+
+    def from_rational(self, c) -> PseudoPoly:
+        return PseudoPoly(self, {(0, 0): self.ring.from_rational(c)})
+
+    def is_zero(self, a: PseudoPoly) -> bool:
+        return a.is_zero()
+
+    def inv(self, a: PseudoPoly) -> PseudoPoly:
+        c = a.terms.get((0, 0))
+        if c is None or len(a.terms) > 1:
+            raise NonInvertibleLeadingCoefficient("only scalars invert in the algebra")
+        return self.coerce(self.ring.inv(c))
 
     def monomial(self, i: int, j: int, c=1) -> PseudoPoly:
         if isinstance(c, (int, Fraction)):
@@ -268,39 +209,6 @@ class QWeyl:
 
     def __repr__(self):
         return f"QWeyl(ring={self.ring!r})"
-
-
-class PseudoPolyRing:
-    """Ring adapter so TruncSeries can carry PseudoPoly coefficients."""
-
-    def __init__(self, algebra: QWeyl):
-        self.algebra = algebra
-        self.zero = algebra.zero
-        self.one = algebra.one
-
-    def from_int(self, n: int) -> PseudoPoly:
-        return self.algebra.coerce(n)
-
-    def from_rational(self, c) -> PseudoPoly:
-        return self.algebra.coerce(Fraction(c) if not isinstance(c, Fraction) else c)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def inv(self, a: PseudoPoly) -> PseudoPoly:
-        c = a.terms.get((0, 0))
-        if c is None or len(a.terms) > 1:
-            raise NonInvertibleLeadingCoefficient("only scalars invert in the algebra")
-        return self.algebra.coerce(self.algebra.ring.inv(c))
-
-    def __eq__(self, other):
-        return isinstance(other, PseudoPolyRing) and self.algebra is other.algebra
-
-    def __hash__(self):
-        return hash(id(self.algebra))
-
-    def __repr__(self):
-        return f"PseudoPolyRing({self.algebra!r})"
 
 
 def symbolic() -> QWeyl:

@@ -13,7 +13,9 @@ in the caller, so it raises TagMismatch instead of guessing.
 TruncSeries is generic over its coefficient ring through the small ring
 adapters at the bottom of this module, so the same container later carries
 rational coefficients, rational-function coefficients, or whole algebra
-elements.  All equality is structural and exact; nothing here ever rounds.
+elements.  SparsePoly, the sparse-polynomial core of the algebras built on
+this tower, sits next to those adapters.  All equality is structural and
+exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -443,9 +445,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def is_poly(self) -> bool:
         return self.den.degree == 0
 
@@ -454,13 +453,6 @@ class RatFunc:
 
     def const_value(self) -> Fraction:
         return self.num.const_value() / self.den.const_value()
-
-    def _coerce(self, other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, UniPoly):
-            return RatFunc.from_poly(other)
-        return RatFunc.const(self.var, other)
 
     def __bool__(self):
         return not self.is_zero()
@@ -481,7 +473,7 @@ class RatFunc:
     def __add__(self, other):
         if not isinstance(other, (RatFunc, UniPoly, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
+        other = as_ratfunc(other, self.var)
         _check_tags(self.var, other.var)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -490,15 +482,15 @@ class RatFunc:
     def __sub__(self, other):
         if not isinstance(other, (RatFunc, UniPoly, int, Fraction)):
             return NotImplemented
-        return self + (-self._coerce(other))
+        return self + (-as_ratfunc(other, self.var))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return as_ratfunc(other, self.var) - self
 
     def __mul__(self, other):
         if not isinstance(other, (RatFunc, UniPoly, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
+        other = as_ratfunc(other, self.var)
         _check_tags(self.var, other.var)
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -507,11 +499,11 @@ class RatFunc:
     def __truediv__(self, other):
         if not isinstance(other, (RatFunc, UniPoly, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
+        other = as_ratfunc(other, self.var)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return as_ratfunc(other, self.var) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -544,6 +536,16 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
+def as_ratfunc(v, var: str) -> RatFunc:
+    """v as a rational function: a RatFunc as it is, a UniPoly over 1, and
+    an integer or rational as a constant in the variable var."""
+    if isinstance(v, RatFunc):
+        return v
+    if isinstance(v, UniPoly):
+        return RatFunc.from_poly(v)
+    return RatFunc.const(var, v)
+
+
 def specialize(f, value) -> Fraction:
     """Evaluate a UniPoly or RatFunc at an exact rational point."""
     if isinstance(f, UniPoly):
@@ -560,13 +562,8 @@ def specialize(f, value) -> Fraction:
 class RationalRing:
     """The rationals, as a coefficient ring for TruncSeries and friends."""
 
-    tag = "QQ"
-
     zero = Fraction(0)
     one = Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
 
     def from_rational(self, c) -> Fraction:
         return _fr(c)
@@ -578,12 +575,6 @@ class RationalRing:
         if a == 0:
             raise NonInvertibleLeadingCoefficient("division by zero rational")
         return 1 / _fr(a)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash(self.tag)
 
     def __repr__(self):
         return "QQ"
@@ -599,9 +590,6 @@ class RatFuncRing:
         self.var = var
         self.zero = RatFunc.zero(var)
         self.one = RatFunc.one(var)
-
-    def from_int(self, n: int) -> RatFunc:
-        return RatFunc.const(self.var, n)
 
     def from_rational(self, c) -> RatFunc:
         return RatFunc.const(self.var, c)
@@ -622,6 +610,127 @@ class RatFuncRing:
 
     def __repr__(self):
         return f"QQ({self.var})"
+
+
+def _to_json(c):
+    """The JSON form of a coefficient: its own to_json, else its str."""
+    return c.to_json() if hasattr(c, "to_json") else str(c)
+
+
+class SparsePoly:
+    """Sparse polynomial sum c_m X^m over a coefficient-ring adapter.
+
+    ``terms`` maps exponent tuples to nonzero coefficients.  This class
+    holds the linear structure shared by every such algebra.  A subclass
+    supplies its coefficient ring as ``ring``, a trusted constructor
+    ``_like(terms)`` that stores a dict of nonzero coefficients as given
+    (the default here suits a class with no state besides ``terms``), and
+    its own multiplication.  Integers and fractions coerce to constants.
+
+    ``algebra`` is the context that products are taken in: None where the
+    class alone fixes the product, a QWeyl for its pseudopolynomials.
+    Elements of different contexts compare unequal and refuse to add.
+
+    Printing, ``to_json`` and the grading deg x = 1, deg y = -1 read the
+    exponents as those of two variables x and y.  MultiPoly, in four
+    variables, brings its own ``to_json`` and ``__str__`` and has no grading.
+    """
+
+    __slots__ = ("terms",)
+
+    algebra = None
+    _one_key = (0, 0)  # the exponent tuple of the constant monomial
+
+    def _like(self, terms: dict):
+        p = object.__new__(type(self))
+        p.terms = terms
+        return p
+
+    def _coerce(self, other):
+        """other as an element of this algebra, or NotImplemented."""
+        if isinstance(other, (int, Fraction)):
+            return self._like({self._one_key: self.ring.from_rational(other)} if other else {})
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.algebra is not self.algebra:
+            raise ValueError("element belongs to a different algebra context")
+        return other
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, *exponents):
+        return self.terms.get(exponents, self.ring.zero)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.algebra is other.algebra and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        is_zero = self.ring.is_zero
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            if k in out:
+                c = out[k] + c
+                if is_zero(c):
+                    del out[k]
+                    continue
+            out[k] = c
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        """c * self, for c a coefficient, an integer or a fraction."""
+        if isinstance(c, (int, Fraction)):
+            c = self.ring.from_rational(c)
+        is_zero = self.ring.is_zero
+        return self._like({k: u for k, v in self.terms.items() if not is_zero(u := c * v)})
+
+    def degrees(self) -> set:
+        """Set of graded degrees i - j present (deg x = 1, deg y = -1)."""
+        return {i - j for (i, j) in self.terms}
+
+    def is_homogeneous(self) -> bool:
+        return len(self.degrees()) <= 1
+
+    def to_json(self):
+        return [[i, j, _to_json(c)] for (i, j), c in sorted(self.terms.items())]
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for (i, j), c in sorted(self.terms.items()):
+            mon = ("x" if i == 1 else f"x^{i}" if i else "") + (
+                "y" if j == 1 else f"y^{j}" if j else ""
+            )
+            parts.append(f"({c})*{mon}" if mon else f"({c})")
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return str(self)
 
 
 class TruncSeries:
@@ -747,10 +856,7 @@ class TruncSeries:
         return TruncSeries(ring or self.ring, self.order, [fn(c) for c in self.coeffs])
 
     def to_json(self):
-        def enc(c):
-            return c.to_json() if hasattr(c, "to_json") else str(c)
-
-        return {"order": self.order, "coefficients": [enc(c) for c in self.coeffs]}
+        return {"order": self.order, "coefficients": [_to_json(c) for c in self.coeffs]}
 
     def __str__(self):
         terms = []
@@ -777,9 +883,6 @@ class SeriesRing:
         self.order = order
         self.zero = TruncSeries.zero(base, order)
         self.one = TruncSeries.one(base, order)
-
-    def from_int(self, n: int) -> TruncSeries:
-        return TruncSeries.const(self.base, self.order, self.base.from_int(n))
 
     def from_rational(self, c) -> TruncSeries:
         return TruncSeries.const(self.base, self.order, self.base.from_rational(c))
@@ -822,8 +925,7 @@ def series_expand(f: RatFunc, order: int) -> TruncSeries:
     when the hbar-adic valuation of the numerator is smaller than that of
     the denominator.
     """
-    if not isinstance(f, RatFunc):
-        f = RatFunc.from_poly(f) if isinstance(f, UniPoly) else RatFunc.const(HBAR, f)
+    f = as_ratfunc(f, HBAR)
     if f.is_zero():
         return TruncSeries.zero(QQ, order)
     vn = f.num.valuation()

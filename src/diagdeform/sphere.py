@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .scalars import LAMBDA, RatFunc, RatFuncRing, TruncSeries, UniPoly
+from .scalars import LAMBDA, RatFunc, RatFuncRing, TruncSeries, UniPoly, as_ratfunc
 
 LAM = RatFuncRing(LAMBDA)
 
@@ -41,14 +41,6 @@ _POLE_VALUE = {P0: RatFunc.zero(LAMBDA), P1: RatFunc.one(LAMBDA), PL: _lam}
 
 class NotInSubalgebra(ValueError):
     """An operation restricted to B = k[x, 1/x, 1/(x-1)] got a lambda pole."""
-
-
-def _coeff(v) -> RatFunc:
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, UniPoly):
-        return RatFunc.from_poly(v)
-    return RatFunc.const(LAMBDA, v)
 
 
 _cross_cache = {}
@@ -87,7 +79,7 @@ class SphereElement:
     def __init__(self, poly=None, poles=None):
         self.poly = {}
         for k, c in (poly or {}).items():
-            c = _coeff(c)
+            c = as_ratfunc(c, LAMBDA)
             if not c.is_zero():
                 if k < 0:
                     raise ValueError("negative x-powers belong in the pole at 0")
@@ -98,7 +90,7 @@ class SphereElement:
                 raise ValueError(f"unknown pole tag {tag!r}")
             clean = {}
             for m, c in parts.items():
-                c = _coeff(c)
+                c = as_ratfunc(c, LAMBDA)
                 if m < 1:
                     raise ValueError("principal part orders start at 1")
                 if not c.is_zero():
@@ -194,7 +186,7 @@ class SphereElement:
         return _as_element(other) - self
 
     def scale(self, c) -> "SphereElement":
-        c = _coeff(c)
+        c = as_ratfunc(c, LAMBDA)
         return SphereElement(
             poly={k: c * v for k, v in self.poly.items()},
             poles={t: {m: c * v for m, v in p.items()} for t, p in self.poles.items()},
@@ -298,12 +290,12 @@ class SphereElement:
 def _as_element(v) -> SphereElement:
     if isinstance(v, SphereElement):
         return v
-    return SphereElement.const(_coeff(v))
+    return SphereElement.const(as_ratfunc(v, LAMBDA))
 
 
 def _binom_to_x(p: RatFunc, j: int):
     """(x - p)^j expanded in x-powers, as a dict {k: coefficient}."""
-    return {t: _coeff(comb(j, t)) * (-p) ** (j - t) for t in range(j + 1)}
+    return {t: as_ratfunc(comb(j, t), LAMBDA) * (-p) ** (j - t) for t in range(j + 1)}
 
 
 def _atom_product(a, b) -> SphereElement:
@@ -320,7 +312,7 @@ def _atom_product(a, b) -> SphereElement:
         p = _POLE_VALUE[tag]
         out = SphereElement.zero()
         for i in range(k + 1):
-            w = c * _coeff(comb(k, i)) * p ** (k - i)
+            w = c * as_ratfunc(comb(k, i), LAMBDA) * p ** (k - i)
             if w.is_zero():
                 continue
             if i < m:
@@ -349,9 +341,6 @@ class SphereRing:
     zero = SphereElement.zero()
     one = SphereElement.one()
 
-    def from_int(self, n: int) -> SphereElement:
-        return SphereElement.const(n)
-
     def from_rational(self, c) -> SphereElement:
         return SphereElement.const(c)
 
@@ -360,12 +349,6 @@ class SphereRing:
 
     def inv(self, a):
         raise NotImplementedError("sphere elements are not inverted generically")
-
-    def __eq__(self, other):
-        return isinstance(other, SphereRing)
-
-    def __hash__(self):
-        return hash("SphereRing")
 
     def __repr__(self):
         return "A(sphere)"

@@ -38,17 +38,19 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .scalars import TruncSeries, _fr, exp_hbar
+from .scalars import QQ, SparsePoly, TruncSeries, _fr, exp_hbar
 
 
 class NonCommutingDerivations(ValueError):
     """A custom spec listed derivations that fail to commute."""
 
 
-class Poly2:
+class Poly2(SparsePoly):
     """Commutative polynomials in x and y with rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    ring = QQ
 
     def __init__(self, terms):
         clean = {}
@@ -86,51 +88,12 @@ class Poly2:
     def y(cls) -> "Poly2":
         return cls({(0, 1): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return Poly2._from_clean({k: -c for k, c in self.terms.items()})
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            if k in out:
-                c += out[k]
-                if not c:
-                    del out[k]
-                    continue
-            out[k] = c
-        return Poly2._from_clean(out)
+        # A function of Poly2's own, so that per-layer traces tell its
+        # additions apart from those of the other sparse algebras.
+        return SparsePoly.__add__(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -149,12 +112,6 @@ class Poly2:
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "Poly2":
-        c = _fr(c)
-        if not c:
-            return Poly2.zero()
-        return Poly2._from_clean({k: c * v for k, v in self.terms.items()})
-
     def dx(self) -> "Poly2":
         return Poly2._from_clean(
             {(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
@@ -163,38 +120,12 @@ class Poly2:
         return Poly2._from_clean(
             {(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
 
-    def degrees(self):
-        """Set of graded degrees i - j present (deg x = 1, deg y = -1)."""
-        return {i - j for (i, j) in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def to_json(self):
-        return [[i, j, str(c)] for (i, j), c in sorted(self.terms.items())]
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items()):
-            mon = ("x" + (f"^{i}" if i > 1 else "")) * (i > 0) + (
-                "y" + (f"^{j}" if j > 1 else "")
-            ) * (j > 0)
-            parts.append(f"({c})" + (f"*{mon}" if mon else ""))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
 
 class Poly2Ring:
     """Ring adapter so TruncSeries can hold Poly2 coefficients."""
 
     zero = Poly2.zero()
     one = Poly2.const(1)
-
-    def from_int(self, n: int) -> Poly2:
-        return Poly2.const(n)
 
     def from_rational(self, c) -> Poly2:
         return Poly2.const(c)
@@ -207,12 +138,6 @@ class Poly2Ring:
         if c is None or len(a.terms) > 1:
             raise ZeroDivisionError("only nonzero constants invert in k[x,y]")
         return Poly2.const(1 / c)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly2Ring)
-
-    def __hash__(self):
-        return hash("Poly2Ring")
 
     def __repr__(self):
         return "QQ[x,y]"

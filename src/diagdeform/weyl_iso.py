@@ -52,7 +52,7 @@ from .scalars import (
     series_div_valuation,
     series_expand,
 )
-from .qweyl import PseudoPoly, PseudoPolyRing, QWeyl, classical, deformed
+from .qweyl import PseudoPoly, QWeyl, classical, deformed
 
 
 class UnsolvableOrder(ArithmeticError):
@@ -276,7 +276,6 @@ def gz_element(order: int) -> dict:
     if order < 1:
         raise ValueError("need at least one order of hbar")
     W1 = classical()
-    pring = PseudoPolyRing(W1)
     u = W1.x * W1.y
     coeffs = [W1.zero]
     p = W1.one
@@ -285,7 +284,7 @@ def gz_element(order: int) -> dict:
         p = p * u
         factorial *= k
         coeffs.append(p.scale(Fraction((-1) ** k, factorial)))
-    numerator = TruncSeries(pring, order, coeffs)
+    numerator = TruncSeries(W1, order, coeffs)
 
     shifted = []
     for c in numerator.coeffs:
@@ -295,7 +294,7 @@ def gz_element(order: int) -> dict:
                 raise LeftDivisionUndefined(f"monomial y^{j} has no x factor to strip")
             terms[(i - 1, j)] = v
         shifted.append(PseudoPoly(W1, terms))
-    shifted = TruncSeries(pring, order, shifted)
+    shifted = TruncSeries(W1, order, shifted)
 
     quotient = series_div_valuation(shifted, exp_hbar(order) - 1)
     y_h = -quotient

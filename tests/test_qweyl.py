@@ -79,7 +79,7 @@ def test_grading_preserved():
         p = a * b
         assert p.is_homogeneous()
         if not p.is_zero():
-            assert p.degrees() == [d1 + d2]
+            assert p.degrees() == {d1 + d2}
 
 
 def test_degree_zero_part_is_commutative():

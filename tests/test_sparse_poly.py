@@ -1,0 +1,146 @@
+"""The sparse-polynomial core shared by Poly2, PseudoPoly and MultiPoly.
+
+The printed and JSON forms below were recorded when each class still had
+its own copy of them, so they pin the bytes that reports are built from.
+"""
+
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from diagdeform.cli import _encode
+from diagdeform.groebner import MultiPoly
+from diagdeform.qweyl import classical, deformed, symbolic
+from diagdeform.scalars import (
+    LAMBDA,
+    QVAR,
+    RatFunc,
+    TruncSeries,
+    UniPoly,
+    exp_hbar,
+    series_div_valuation,
+)
+from diagdeform.star import Poly2
+
+MIXED = [((2, 1), F(-3, 4)), ((0, 0), 5), ((1, 0), -1), ((0, 2), F(2, 3)), ((1, 1), 1)]
+MIXED_TEXT = "(5) + (2/3)*y^2 + (-1)*x + (1)*xy + (-3/4)*x^2y"
+MIXED_JSON = '[[0, 0, "5"], [0, 2, "2/3"], [1, 0, "-1"], [1, 1, "1"], [2, 1, "-3/4"]]'
+
+
+def _symbolic_mixed(W):
+    c = RatFunc(UniPoly(QVAR, [1, -2]), UniPoly(QVAR, [3, 0, 1]))
+    return W.from_terms([(2, 0, W.qint(3)), (0, 1, c), (1, 1, F(-1, 2))])
+
+
+def _deformed_mixed(W):
+    return W.from_terms([(0, 2, W.qint(2)), (3, 0, F(-5, 2)), (1, 1, W.q_power(3))])
+
+
+def _multipoly_mixed():
+    lam = RatFunc.gen(LAMBDA)
+    return MultiPoly.from_terms([
+        ((1, 1, 0, 0), lam), ((0, 0, 1, 0), F(3, 4)), ((0, 0, 0, 0), -1),
+        ((0, 2, 0, 1), (lam - 1).inverse()), ((0, 0, 0, 3), -1),
+    ])
+
+
+def _series(*cs):
+    return {"order": 3, "coefficients": list(cs) + ["0"] * (4 - len(cs))}
+
+
+CASES = [
+    ("poly2-zero", lambda: Poly2.zero(), "0", "[]"),
+    ("poly2-const", lambda: Poly2.const(F(-7, 3)), "(-7/3)", '[[0, 0, "-7/3"]]'),
+    ("poly2-x-power", lambda: Poly2.monomial(3, 0), "(1)*x^3", '[[3, 0, "1"]]'),
+    ("poly2-y-power", lambda: Poly2.monomial(0, 2, -1), "(-1)*y^2", '[[0, 2, "-1"]]'),
+    ("poly2-mixed", lambda: Poly2(dict(MIXED)), MIXED_TEXT, MIXED_JSON),
+    ("classical-zero", lambda: classical().zero, "0", "[]"),
+    ("classical-const", lambda: classical().coerce(F(5, 2)), "(5/2)", '[[0, 0, "5/2"]]'),
+    ("classical-x", lambda: classical().x, "(1)*x", '[[1, 0, "1"]]'),
+    ("classical-y-power", lambda: classical().monomial(0, 3, -2), "(-2)*y^3",
+     '[[0, 3, "-2"]]'),
+    ("classical-mixed",
+     lambda: classical().from_terms([(i, j, c) for (i, j), c in MIXED]),
+     MIXED_TEXT, MIXED_JSON),
+    ("symbolic-zero", lambda: symbolic().zero, "0", "[]"),
+    ("symbolic-const", lambda: symbolic().coerce(-3), "(-3)", '[[0, 0, "-3"]]'),
+    ("symbolic-q", lambda: symbolic().coerce(symbolic().q), "(q)",
+     '[[0, 0, {"num": ["0", "1"], "den": ["1"]}]]'),
+    ("symbolic-yx", lambda: (lambda W: W.y * W.x)(symbolic()), "(-1) + (q)*xy",
+     '[[0, 0, "-1"], [1, 1, {"num": ["0", "1"], "den": ["1"]}]]'),
+    ("symbolic-mixed", lambda: _symbolic_mixed(symbolic()),
+     "((-2*q + 1)/(q^2 + 3))*y + (-1/2)*xy + (q^2 + q + 1)*x^2",
+     '[[0, 1, {"num": ["1", "-2"], "den": ["3", "0", "1"]}], [1, 1, "-1/2"], '
+     '[2, 0, {"num": ["1", "1", "1"], "den": ["1"]}]]'),
+    ("deformed-zero", lambda: deformed(3).zero, "0", "[]"),
+    ("deformed-const", lambda: deformed(3).coerce(F(1, 3)), "(1/3 + O(hbar^4))",
+     json.dumps([[0, 0, _series("1/3")]])),
+    ("deformed-yx", lambda: (lambda W: W.y * W.x)(deformed(3)),
+     "(-1 + O(hbar^4)) + (1 + (1)*hbar + O(hbar^4))*xy",
+     json.dumps([[0, 0, _series("-1")], [1, 1, _series("1", "1")]])),
+    ("deformed-mixed", lambda: _deformed_mixed(deformed(3)),
+     "(2 + (1)*hbar + O(hbar^4))*y^2 + (1 + (3)*hbar + (3)*hbar^2 + (1)*hbar^3"
+     " + O(hbar^4))*xy + (-5/2 + O(hbar^4))*x^3",
+     json.dumps([[0, 2, _series("2", "1")], [1, 1, _series("1", "3", "3", "1")],
+                 [3, 0, _series("-5/2")]])),
+    ("multipoly-zero", lambda: MultiPoly(), "0", "[]"),
+    ("multipoly-const", lambda: MultiPoly.const(F(-1, 2)), "(-1/2)",
+     '[[[0, 0, 0, 0], "-1/2"]]'),
+    ("multipoly-one", lambda: MultiPoly.const(1), "(1)", '[[[0, 0, 0, 0], "1"]]'),
+    ("multipoly-x-power", lambda: MultiPoly.variable("x", 2), "x^2",
+     '[[[2, 0, 0, 0], "1"]]'),
+    ("multipoly-minus-w", lambda: MultiPoly.variable("w").scale(-1), "-w",
+     '[[[0, 0, 0, 1], "-1"]]'),
+    ("multipoly-mixed", _multipoly_mixed,
+     "((1)/(lambda - 1))*y^2*w + -w^3 + (lambda)*x*y + 3/4*z + (-1)",
+     '[[[0, 2, 0, 1], {"num": ["1"], "den": ["-1", "1"]}], [[0, 0, 0, 3], "-1"], '
+     '[[1, 1, 0, 0], {"num": ["0", "1"], "den": ["1"]}], [[0, 0, 1, 0], "3/4"], '
+     '[[0, 0, 0, 0], "-1"]]'),
+]
+
+
+@pytest.mark.parametrize("build, text, encoded", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_printed_and_json_bytes_are_pinned(build, text, encoded):
+    p = build()
+    assert str(p) == text
+    assert repr(p) == text
+    assert json.dumps(_encode(p.to_json())) == encoded
+
+
+def test_elements_of_different_contexts_do_not_mix():
+    a, b = classical(), classical()
+    assert a.x != b.x
+    assert a.x == a.x + a.zero
+    with pytest.raises(ValueError):
+        a.x + b.x
+    with pytest.raises(ValueError):
+        a.x - b.y
+
+
+def test_scalars_coerce_to_constants_in_every_sparse_algebra():
+    W = classical()
+    assert Poly2.x() + 2 == 2 + Poly2.x() == Poly2({(1, 0): 1, (0, 0): 2})
+    assert 1 - W.x == -(W.x - 1) == W.from_terms([(0, 0, 1), (1, 0, -1)])
+    assert MultiPoly.variable("z") - F(1, 2) == MultiPoly.from_terms(
+        [((0, 0, 1, 0), 1), ((0, 0, 0, 0), F(-1, 2))])
+    assert W.coerce(3) == 3 and Poly2.const(3) == 3 and MultiPoly.const(3) == 3
+    assert W.x.scale(0).is_zero() and W.x - W.x == 0
+
+
+def test_truncated_series_over_the_weyl_algebra():
+    """QWeyl is the ring adapter of its own elements."""
+    W = classical()
+    a = TruncSeries(W, 2, [W.one, W.x])
+    b = TruncSeries(W, 2, [W.one, W.y])
+    prod = a * b
+    assert prod.coeffs == (W.one, W.x + W.y, W.x * W.y)
+    assert prod == TruncSeries(W, 2, [W.one, W.x + W.y, W.one + W.y * W.x])
+    assert (prod - prod).is_zero()
+    assert W.inv(W.coerce(4)) == W.coerce(F(1, 4))
+    # dividing by a rational series embeds it through W.from_rational
+    e1 = exp_hbar(2) - 1
+    quot = series_div_valuation(TruncSeries(W, 2, [W.zero, W.x, W.y]), e1)
+    assert quot.ring is W
+    assert quot.coeffs == (W.x, W.y - W.x.scale(F(1, 2)))
