@@ -28,7 +28,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .scalars import LAMBDA, RatFunc, RatFuncRing, TruncSeries, UniPoly, as_ratfunc
+from .scalars import (
+    LAMBDA,
+    NonInvertibleLeadingCoefficient,
+    RatFunc,
+    RatFuncRing,
+    TruncSeries,
+    UniPoly,
+    as_ratfunc,
+)
 
 LAM = RatFuncRing(LAMBDA)
 
@@ -347,8 +355,14 @@ class SphereRing:
     def is_zero(self, a) -> bool:
         return a.is_zero()
 
-    def inv(self, a):
-        raise NotImplementedError("sphere elements are not inverted generically")
+    def inv(self, a: SphereElement) -> SphereElement:
+        """Inverse of a nonzero constant.  The other units, such as x or
+        x - 1, are not inverted here and raise like a non-unit."""
+        c = a.poly.get(0)
+        if c is None or a.poles or len(a.poly) > 1:
+            raise NonInvertibleLeadingCoefficient(
+                "only nonzero constants are inverted in A(sphere)")
+        return SphereElement.const(c.inverse())
 
     def __repr__(self):
         return "A(sphere)"

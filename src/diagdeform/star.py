@@ -38,7 +38,14 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .scalars import QQ, SparsePoly, TruncSeries, _fr, exp_hbar
+from .scalars import (
+    QQ,
+    NonInvertibleLeadingCoefficient,
+    SparsePoly,
+    TruncSeries,
+    _fr,
+    exp_hbar,
+)
 
 
 class NonCommutingDerivations(ValueError):
@@ -136,7 +143,7 @@ class Poly2Ring:
     def inv(self, a: Poly2) -> Poly2:
         c = a.terms.get((0, 0))
         if c is None or len(a.terms) > 1:
-            raise ZeroDivisionError("only nonzero constants invert in k[x,y]")
+            raise NonInvertibleLeadingCoefficient("only nonzero constants invert in k[x,y]")
         return Poly2.const(1 / c)
 
     def __repr__(self):

@@ -20,7 +20,9 @@ Everything downstream is exact linear algebra over QQ on monomial slots:
 membership_oracle solves the resulting system outright and returns either
 a gauge witness or a dual-vector certificate of non-membership; reduce
 projects onto the complement of the gauge span to produce a canonical
-representative.  The oracle is the ground truth here.  Two reference
+representative.  The span depends on the cutoff alone, so both eliminate
+it once per cutoff (_gauge_factor) and apply the stored result to each
+input.  The oracle is the ground truth here.  Two reference
 descriptions of the surviving classes are in circulation, differing on
 whether the pure powers x^i survive; the oracle finds they do not (chi =
 x^(i+1)/(i+1) kills them without touching gammaF), and basis_report
@@ -30,7 +32,9 @@ records the verdict against both readings rather than assuming either.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import rref
 from .qweyl import PseudoPoly, classical
@@ -49,6 +53,25 @@ def _poly(terms) -> PseudoPoly:
 
 def _max_degree(p: PseudoPoly) -> int:
     return max((i + j for (i, j) in p.terms), default=0)
+
+
+# Input coefficients stay far below the 4300 digits Python will convert
+# between int and str, so every value a report prints stays printable.  The
+# decimal exponent is bounded before parsing, because Fraction("1e999999999")
+# builds a billion-digit integer before any size check could see it.
+_MAX_DIGITS = 1000
+_COEFFICIENT_BOUND = 10 ** _MAX_DIGITS
+
+
+def _coefficient(c) -> Fraction:
+    text = str(c)
+    exponent = re.search(r"[eE]([-+]?\d+)", text)
+    if exponent and abs(int(exponent.group(1))) > _MAX_DIGITS:
+        raise ValueError(f"coefficient exponent beyond {_MAX_DIGITS}: {text[:40]}")
+    v = Fraction(text)
+    if max(abs(v.numerator), v.denominator) >= _COEFFICIENT_BOUND:
+        raise ValueError(f"coefficient with more than {_MAX_DIGITS} digits")
+    return v
 
 
 class W1Cocycle:
@@ -75,7 +98,16 @@ class W1Cocycle:
             raise ValueError(f"unrecognized cocycle keys: {sorted(unknown)}")
 
         def load(entries):
-            return _poly({(int(i), int(j)): Fraction(str(c)) for i, j, c in entries})
+            terms = {}
+            for term in entries:
+                # no coercion: "123" or [2.5, 1, c] would read as another term
+                if not isinstance(term, (list, tuple)) or len(term) != 3:
+                    raise ValueError(f"a term is [i, j, coefficient], not {term!r:.40}")
+                i, j, c = term
+                if not all(type(e) is int and e >= 0 for e in (i, j)):
+                    raise ValueError(f"exponents are integers >= 0, not {i!r:.20}, {j!r:.20}")
+                terms[(i, j)] = _coefficient(c)
+            return _poly(terms)
 
         return cls(load(d.get("gammaF", [])), load(d.get("gammaG", [])))
 
@@ -189,36 +221,83 @@ def _pairing(dual, img) -> Fraction:
     return sum((dual[s] * v for s, v in img.items() if s in dual), Fraction(0))
 
 
+def _check_cutoff(cutoff: int) -> None:
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+
+
+class _GaugeFactor(NamedTuple):
+    """Both eliminations of the gauge span at one cutoff.
+
+    gens are the generators (columns of A, rows of the span matrix); pivots
+    and transform come from rref([A | I]) with A the slots-by-generators
+    matrix, transform being its row transform T as {slot: value} rows in
+    slot order; span holds the (pivot slot, reduced row) pairs that reduce
+    projects with.  Callers read these and never hand them out unless copied.
+    """
+
+    gens: list
+    pivots: list
+    transform: list
+    span: list
+
+
+_FACTORS = {}
+
+
+def _gauge_factor(cutoff: int) -> _GaugeFactor:
+    """The gauge span at a cutoff, eliminated on first use and kept.
+
+    rref chooses pivots and row operations from its first ncols columns
+    alone, so eliminating [A | b | I] yields T [A | b | I]: T b is the
+    right-hand column that elimination would have produced, value for
+    value, and the identity block is T itself.
+    """
+    factor = _FACTORS.get(cutoff)
+    if factor is not None:
+        return factor
+    slots = _slots(cutoff + 1)
+    gens = _gauge_generators(cutoff)
+    n = len(gens)
+    zero, one = Fraction(0), Fraction(1)
+    # rows [A | I]: on slot s, the generator coefficients and a unit row, so
+    # a zero row of A carries its combination of slots along
+    pivots, rows = rref([[img.get(s, zero) for _, img in gens]
+                         + [one if k == i else zero for k in range(len(slots))]
+                         for i, s in enumerate(slots)], n)
+    transform = [{s: v for s, v in zip(slots, row[n:]) if v} for row in rows]
+    span_pivots, span_rows = rref([[img.get(s, zero) for s in slots]
+                                   for _, img in gens], len(slots))
+    span = [(slots[c], {s: v for s, v in zip(slots, span_rows[r]) if v})
+            for r, c in span_pivots]
+    factor = _FACTORS[cutoff] = _GaugeFactor(gens, pivots, transform, span)
+    return factor
+
+
 def membership_oracle(p: PseudoPoly, cutoff: int):
     """Decide whether (0, p) is gauge-trivial, with witness or certificate.
 
     Accepts: returns (True, GaugeDatum g) with apply_gauge((0, p), g) = 0.
     Rejects: returns (False, dual) where dual is a rational functional on
     monomial slots annihilating every gauge generator but not p.  Both are
-    verified before returning.
+    verified before returning.  Raises ValueError for a negative cutoff.
     """
+    _check_cutoff(cutoff)
     p = W1.coerce(p)
     if _max_degree(p) > cutoff and not p.is_zero():
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
-    slots = _slots(cutoff + 1)
-    gens = _gauge_generators(cutoff)
-    # rows [A | b | I]: on slot s, the generator coefficients, the target and
-    # a unit row, so a zero row of A carries its combination of slots along
-    n = len(gens)
-    zero, one = Fraction(0), Fraction(1)
-    rows = [[img.get(s, zero) for _, img in gens] + [p.terms.get(s, zero)]
-            + [one if k == i else zero for k in range(len(slots))]
-            for i, s in enumerate(slots)]
-    pivots, rows = rref(rows, n)
-    bad = next((row for row in rows[len(pivots):] if row[n]), None)
+    factor = _gauge_factor(cutoff)
+    gens = factor.gens
+    tb = [_pairing(row, p.terms) for row in factor.transform]
+    bad = next((r for r in range(len(factor.pivots), len(tb)) if tb[r]), None)
     if bad is not None:
-        dual = {s: v for s, v in zip(slots, bad[n + 1:]) if v}
+        dual = dict(factor.transform[bad])
         if not _pairing(dual, p.terms) or any(_pairing(dual, img) for _, img in gens):
             raise AssertionError("non-membership certificate failed to separate")
         return False, dual
-    sol = [zero] * n
-    for r, c in pivots:
-        sol[c] = rows[r][n]
+    sol = [Fraction(0)] * len(gens)
+    for r, c in factor.pivots:
+        sol[c] = tb[r]
     beta = {}
     chi = {}
     alpha = {}
@@ -248,20 +327,16 @@ def reduce(coc: W1Cocycle, cutoff: int) -> dict:
     zero exactly when the membership oracle accepts; the report carries
     both answers plus the oracle's witness or certificate, and flags the
     pure-x monomials whose vanishing separates the two reference readings
-    of the surviving set.
+    of the surviving set.  Raises ValueError for a negative cutoff.
     """
+    _check_cutoff(cutoff)
     if max(_max_degree(coc.gamma_f), _max_degree(coc.gamma_g)) > cutoff and not (
         coc.gamma_f.is_zero() and coc.gamma_g.is_zero()
     ):
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
     killed, kill_witness = kill_gamma_f(coc)
-    slots = _slots(cutoff + 1)
-    pivots, rows = rref([[img.get(s, Fraction(0)) for s in slots]
-                         for _, img in _gauge_generators(cutoff)], len(slots))
-    span = [(slots[c], {s: v for s, v in zip(slots, rows[r]) if v})
-            for r, c in pivots]
     residual = dict(killed.gamma_g.terms)
-    for pivot, row in span:
+    for pivot, row in _gauge_factor(cutoff).span:
         c = residual.get(pivot)
         if not c:
             continue

@@ -148,9 +148,10 @@ def test_encoder_exact_scalars():
     ["sphere", "h2", "--cutoff", "-1"],
     ["diagram", "nerve", "--maxdim", "-1"],
     ["diagram", "delta2", "--trials", "0"],
+    ["w1", "reduce", "--input", "{empty}", "--cutoff", "-3"],
 ])
 def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
-    files = {"{list}": "[]", "{zero}": '{"gammaF": [[1, 2, "1/0"]]}'}
+    files = {"{list}": "[]", "{zero}": '{"gammaF": [[1, 2, "1/0"]]}', "{empty}": "{}"}
     path = tmp_path / "coc.json"
     for a in set(argv) & set(files):
         path.write_text(files[a])

@@ -193,3 +193,29 @@ def test_series_over_ratfunc_ring():
     s = TruncSeries(ring, 2, [ring.one, lam])
     t = TruncSeries(ring, 2, [lam, ring.one])
     assert (s * t).coeffs == (lam, lam * lam + 1, lam)
+
+
+def test_every_ring_adapter_inverts_units_and_refuses_non_units():
+    from diagdeform.qweyl import classical
+    from diagdeform.sphere import SPHERE, SphereElement
+    from diagdeform.star import P2, Poly2
+
+    q = RatFunc.gen(QVAR)
+    series = SeriesRing(QQ, 3)
+    w1 = classical()
+    lam = RatFunc.gen(LAMBDA)
+    cases = [
+        (QQ, Fraction(-2, 3), []),
+        (RatFuncRing(QVAR), q + 1, []),
+        (series, TruncSeries(QQ, 3, [2, 1]), [TruncSeries(QQ, 3, [0, 1])]),
+        (w1, w1.from_rational(5), [w1.x, w1.one + w1.y]),
+        (P2, Poly2.const(Fraction(3, 4)), [Poly2.const(1) + Poly2({(1, 0): 1})]),
+        # x - 2 and (x + 1)/x vanish off the punctures, so neither is a unit
+        (SPHERE, SphereElement.const(lam), [SphereElement(poly={0: -2, 1: 1}),
+                                            SphereElement(poly={0: 1}, poles={"0": {1: 1}})]),
+    ]
+    for ring, unit, others in cases:
+        assert unit * ring.inv(unit) == ring.one, ring
+        for a in [ring.zero] + others:
+            with pytest.raises(NonInvertibleLeadingCoefficient):
+                ring.inv(a)

@@ -105,8 +105,112 @@ def test_membership_rejects_a_corrupted_certificate(monkeypatch):
         return pivots, [row[:ncols + 1] + [F(1)] * (len(row) - ncols - 1) for row in out]
 
     monkeypatch.setattr(w1diagram, "rref", corrupted)
+    # an earlier test may have factored cutoff 6 already; start from none so
+    # the corrupted eliminator is the one that runs
+    monkeypatch.setattr(w1diagram, "_FACTORS", {})
     with pytest.raises(AssertionError):
         membership_oracle(W1.monomial(1, 2), 6)
+
+
+@pytest.mark.parametrize("p,rows", [
+    # certificate path: every transform row below the rank becomes all ones
+    ((1, 2), "below_rank"),
+    # witness path: every pivot row of the transform is doubled
+    ((3, 1), "pivot"),
+])
+def test_membership_rechecks_a_corrupted_cached_factor(p, rows, monkeypatch):
+    monkeypatch.setattr(w1diagram, "_FACTORS", {})
+    factor = w1diagram._gauge_factor(6)
+    rank = len(factor.pivots)
+    if rows == "below_rank":
+        for row in factor.transform[rank:]:
+            row.update({s: F(1) for s in w1diagram._slots(7)})
+    else:
+        for row in factor.transform[:rank]:
+            row.update({s: 2 * v for s, v in row.items()})
+    with pytest.raises(AssertionError):
+        membership_oracle(W1.monomial(*p), 6)
+
+
+def _oracle_by_direct_elimination(p, cutoff):
+    """membership_oracle's answer from one elimination of [A | b | I]."""
+    slots = w1diagram._slots(cutoff + 1)
+    gens = _gauge_generators(cutoff)
+    n = len(gens)
+    rows = [[img.get(s, F(0)) for _, img in gens] + [p.terms.get(s, F(0))]
+            + [F(int(k == i)) for k in range(len(slots))]
+            for i, s in enumerate(slots)]
+    pivots, rows = w1diagram.rref(rows, n)
+    bad = next((row for row in rows[len(pivots):] if row[n]), None)
+    if bad is not None:
+        return False, {s: v for s, v in zip(slots, bad[n + 1:]) if v}
+    alpha, beta, chi = {}, {}, {}
+    for r, c in pivots:
+        (kind, i), coeff = gens[c][0], rows[r][n]
+        if kind == "beta":
+            beta[(0, i)] = coeff
+        elif kind == "chi_x":
+            chi[(i, 0)] = coeff
+        else:
+            chi[(i, 1)] = coeff
+            alpha[(i, 0)] = -coeff
+    return True, GaugeDatum(alpha, beta, chi)
+
+
+def test_membership_oracle_matches_direct_elimination():
+    rng = random.Random(2718)
+    for cutoff in range(13):
+        for _ in range(8):
+            coc = random_cocycle(rng, maxdeg=min(cutoff, 6))
+            for p in (coc.gamma_g, kill_gamma_f(coc)[0].gamma_g):
+                ok, payload = membership_oracle(p, cutoff)
+                want_ok, want = _oracle_by_direct_elimination(p, cutoff)
+                assert ok == want_ok
+                if ok:
+                    assert payload.to_json() == want.to_json()
+                else:
+                    assert list(payload.items()) == list(want.items())
+
+
+def test_membership_certificate_is_a_copy():
+    ok, dual = membership_oracle(W1.monomial(1, 2), 6)
+    assert not ok
+    before = list(dual.items())
+    dual.clear()
+    dual[(0, 0)] = F(99)
+    assert list(membership_oracle(W1.monomial(1, 2), 6)[1].items()) == before
+
+
+def test_gauge_span_is_eliminated_once_per_cutoff(monkeypatch):
+    from diagdeform import acceptance
+
+    calls = {"rref": 0, "reduce": 0}
+    real_rref, real_reduce = w1diagram.rref, acceptance.w1_reduce
+
+    def counted_rref(rows, ncols):
+        calls["rref"] += 1
+        return real_rref(rows, ncols)
+
+    def counted_reduce(coc, cutoff):
+        calls["reduce"] += 1
+        return real_reduce(coc, cutoff)
+
+    monkeypatch.setattr(w1diagram, "_FACTORS", {})
+    monkeypatch.setattr(w1diagram, "rref", counted_rref)
+    monkeypatch.setattr(acceptance, "w1_reduce", counted_reduce)
+    assert acceptance.criterion_w1_reduction(1729)["ok"]
+    assert calls == {"rref": 2, "reduce": 157}
+
+
+@pytest.mark.parametrize("cutoff", [-1, -3])
+def test_negative_cutoff_is_rejected_before_the_cache(cutoff):
+    before = dict(w1diagram._FACTORS)
+    with pytest.raises(ValueError):
+        reduce(W1Cocycle.zero(), cutoff)
+    with pytest.raises(ValueError):
+        membership_oracle(W1.zero, cutoff)
+    assert w1diagram._FACTORS == before
+    assert reduce(W1Cocycle.zero(), 0)["is_zero"]
 
 
 def test_membership_cutoff_guard():
@@ -243,6 +347,20 @@ def test_cocycle_json_rejects_unknown_keys():
     with pytest.raises(ValueError):
         W1Cocycle.from_json({"gamma_f": [[1, 2, "1"]]})
     assert W1Cocycle.from_json({"gammaG": [[0, 1, "3"]]}).gamma_f.is_zero()
+
+
+@pytest.mark.parametrize("terms", [
+    ["123"],                  # a string would unpack as [1, 2, 3]
+    [[2.5, 1, "1"]],          # a float exponent would truncate
+    [["2", True, "1"]],       # a string or bool exponent would coerce
+    [[-1, 2, "1"]],
+    [[1, 2]],
+    [[1, 2, "1e5000"]],       # too long to print back
+    [[1, 2, "1/1" + "0" * 1001]],
+])
+def test_cocycle_json_rejects_malformed_terms(terms):
+    with pytest.raises(ValueError):
+        W1Cocycle.from_json({"gammaG": terms})
 
 
 def test_gauge_datum_validation():
