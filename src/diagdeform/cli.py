@@ -56,7 +56,7 @@ from .qweyl import (
     stirling_inverse_check,
     stirling_second,
 )
-from .scalars import TruncSeries
+from .scalars import TruncSeries, parse_rational
 from .sphere import SphereElement, geometric_series_check
 from .sphere_cohomology import (
     B_GENERATORS,
@@ -197,7 +197,7 @@ def _cmd_sphere_exp(args):
     }
     if args.t is not None:
         try:
-            payload["descended_poles"] = descended_pole_set(Fraction(args.t))
+            payload["descended_poles"] = descended_pole_set(parse_rational(args.t))
         except (ValueError, ZeroDivisionError) as exc:
             print(f"bad scaling parameter {args.t!r}: {exc}", file=sys.stderr)
             raise SystemExit(2)
@@ -229,7 +229,7 @@ def _cmd_groebner_run(args):
     }
     if args.lam is not None:
         try:
-            lam0 = Fraction(args.lam)
+            lam0 = parse_rational(args.lam)
         except (ValueError, ZeroDivisionError) as exc:
             print(f"bad lambda value {args.lam!r}: {exc}", file=sys.stderr)
             raise SystemExit(2)

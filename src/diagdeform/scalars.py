@@ -20,6 +20,7 @@ exact; nothing here ever rounds.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -61,6 +62,33 @@ def _fr(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"cannot coerce {v!r} to a rational")
+
+
+# Parsed input stays far below the 4300 digits Python will convert between
+# int and str, so every value a report prints stays printable.  The decimal
+# exponent is bounded before parsing, because Fraction("1e999999999") builds
+# a billion-digit integer before any size check could see it; the pattern
+# takes the underscores that Fraction allows between exponent digits.
+_MAX_DIGITS = 1000
+_RATIONAL_BOUND = 10 ** _MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
+def parse_rational(value) -> Fraction:
+    """The rational spelled by str(value), such as "3", "-2/7" or "1.5e-3".
+
+    Raises ValueError for text that is not a rational or that has more
+    than _MAX_DIGITS digits in its exponent, numerator or denominator, and
+    ZeroDivisionError for a zero denominator.
+    """
+    text = str(value)
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > _MAX_DIGITS:
+        raise ValueError(f"exponent beyond {_MAX_DIGITS}: {text[:40]!r}")
+    v = Fraction(text)
+    if max(abs(v.numerator), v.denominator) >= _RATIONAL_BOUND:
+        raise ValueError(f"rational with more than {_MAX_DIGITS} digits")
+    return v
 
 
 def _check_tags(a: str, b: str) -> None:

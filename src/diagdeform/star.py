@@ -23,9 +23,17 @@ together with an exactness flag saying whether the operator had annihilated
 the tensor by the requested order.
 
 The operator sum_i phi_i (x) psi_i is compiled once per spec into integer
-terms over one denominator, and star applies it to a single merged tensor
-a (x) b held as integer numerators over one running denominator, so the
-tensor never outgrows the support of its monomial pairs.
+terms over one denominator.  star and star_series share one integer kernel:
+every input coefficient is put over one common denominator, and the pairs
+A_m (x) B_n go into a single tensor keyed by (s, i1, j1, i2, j2), where
+s = m + n is the hbar level the pair starts at; star is the one-term case
+A_0 (x) B_0.  Each step applies the operator once to the whole tensor and
+drops the keys whose level would pass the truncation order.  After each
+step the tensor is contracted into one integer accumulator per output level
+l, over den * spec._den^l * l!, and a Fraction is built once per output
+monomial, at the end.  The arithmetic is exact and Fraction(n, d) is
+canonical, so the coefficients are the same values, and print the same
+bytes, as a sum of star products taken pair by pair.
 
 Degrees here are graded with deg x = +1, deg y = -1; all three built-in
 specs preserve that grading, which grading_check exercises on random
@@ -36,7 +44,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .scalars import (
     QQ,
@@ -211,8 +219,9 @@ class StarSpec:
         """Compile sum_i phi_i (x) psi_i into integer terms over self._den.
 
         A term (di1, dj1, s1, di2, dj2, s2, w) sends the tensor key
-        k = (i1, j1, i2, j2) to (i1+di1, j1+dj1, i2+di2, j2+dj2) with weight
-        w * k[s1] * k[s2]; terms with the same shift and slots are merged.
+        k = (s, i1, j1, i2, j2) to (s, i1+di1, j1+dj1, i2+di2, j2+dj2) with
+        weight w * k[s1] * k[s2]; terms with the same shift and slots are
+        merged.
         """
         actions = [(phi._integer_action(), psi._integer_action())
                    for phi, psi in self.pairs]
@@ -222,22 +231,24 @@ class StarSpec:
             scale = den // (d1 * d2)
             for di1, dj1, s1, n1 in terms1:
                 for di2, dj2, s2, n2 in terms2:
-                    key = (di1, dj1, s1, di2, dj2, s2 + 2)
+                    key = (di1, dj1, s1 + 1, di2, dj2, s2 + 3)
                     ops[key] = ops.get(key, 0) + n1 * n2 * scale
         self._ops = tuple(key + (w,) for key, w in ops.items() if w)
         self._den = den
 
-    def _apply(self, tensor: dict) -> dict:
-        """The operator on an integer tensor {(i1, j1, i2, j2): n}; the
-        result is over one more factor self._den, equal keys merged and
-        zeros dropped."""
+    def _apply(self, tensor: dict, top: int) -> dict:
+        """The operator on the keys of level at most top of an integer
+        tensor {(s, i1, j1, i2, j2): n}; the result is over one more factor
+        self._den, equal keys merged and zeros dropped."""
         out = {}
         for key, v in tensor.items():
-            i1, j1, i2, j2 = key
+            s, i1, j1, i2, j2 = key
+            if s > top:
+                continue
             for di1, dj1, s1, di2, dj2, s2, w in self._ops:
                 m = key[s1] * key[s2]
                 if m:
-                    k = (i1 + di1, j1 + dj1, i2 + di2, j2 + dj2)
+                    k = (s, i1 + di1, j1 + dj1, i2 + di2, j2 + dj2)
                     out[k] = out.get(k, 0) + v * w * m
         return {k: v for k, v in out.items() if v}
 
@@ -279,13 +290,45 @@ class StarSpec:
         return f"StarSpec({self.kind})"
 
 
-def _contract(tensor: dict, den: int) -> Poly2:
-    """mu(tensor) / den: multiply out every monomial pair and sum."""
-    acc = {}
-    for (i1, j1, i2, j2), n in tensor.items():
-        k = (i1 + i2, j1 + j2)
-        acc[k] = acc.get(k, 0) + n
-    return Poly2._from_clean({k: Fraction(n, den) for k, n in acc.items() if n})
+def _star_kernel(A, B, spec: StarSpec, order: int):
+    """sum_{m+n+k <= order} hbar^(m+n+k) (1/k!) mu[D^k (A_m (x) B_n)] for
+    coefficient lists A and B, where D = sum_i phi_i (x) psi_i.
+
+    Returns the order + 1 Poly2 coefficients and the last tensor computed,
+    D^k of the pairs at the last step k reached (empty once D annihilated
+    them).
+    """
+    As, da = _integer_form(*A[:order + 1])
+    Bs, db = _integer_form(*B[:order + 1])
+    tensor = {}
+    for m, u in enumerate(As):
+        for n, v in enumerate(Bs[:order + 1 - m]):
+            for (i1, j1), p in u.items():
+                for (i2, j2), q in v.items():
+                    key = (m + n, i1, j1, i2, j2)
+                    tensor[key] = tensor.get(key, 0) + p * q
+    # Level l accumulates over da * db * spec._den^l * l!.  At step k,
+    # (1/k!) mu(tensor) is over da * db * spec._den^k * k!, so a key of level
+    # s is scaled by spec._den^s * (k+1)(k+2)...(k+s) on its way to level s + k.
+    accs = [{} for _ in range(order + 1)]
+    for k in range(order + 1):
+        if k:
+            tensor = spec._apply(tensor, order - k)
+            if not tensor:
+                break
+        scale = [1]
+        for s in range(1, order + 1 - k):
+            scale.append(scale[-1] * spec._den * (k + s))
+        for (s, i1, j1, i2, j2), v in tensor.items():
+            acc = accs[s + k]
+            key = (i1 + i2, j1 + j2)
+            acc[key] = acc.get(key, 0) + v * scale[s]
+    den = da * db
+    coeffs = []
+    for level, acc in enumerate(accs):
+        d = den * spec._den ** level * factorial(level)
+        coeffs.append(Poly2._from_clean({key: Fraction(n, d) for key, n in acc.items() if n}))
+    return coeffs, tensor
 
 
 def star(a: Poly2, b: Poly2, spec: StarSpec, order: int):
@@ -298,18 +341,9 @@ def star(a: Poly2, b: Poly2, spec: StarSpec, order: int):
     """
     if order < 0:
         raise ValueError("negative truncation order")
-    (ai, bi), den = _integer_form(a, b)
-    tensor = {(i1, j1, i2, j2): u * v
-              for (i1, j1), u in ai.items() for (i2, j2), v in bi.items()}
-    den *= den
-    coeffs = [_contract(tensor, den)]
-    for k in range(1, order + 1):
-        tensor = spec._apply(tensor)
-        if not tensor:
-            break
-        den *= spec._den * k
-        coeffs.append(_contract(tensor, den))
-    exact = not tensor or not spec._apply(tensor)
+    coeffs, tensor = _star_kernel([a], [b], spec, order)
+    # every key of the one pair a (x) b is at level 0, so no key is dropped
+    exact = not tensor or not spec._apply(tensor, order)
     return TruncSeries(P2, order, coeffs), exact
 
 
@@ -318,21 +352,13 @@ def star_commutator(a: Poly2, b: Poly2, spec: StarSpec, order: int) -> TruncSeri
 
 
 def star_series(A: TruncSeries, B: TruncSeries, spec: StarSpec, order: int) -> TruncSeries:
-    """Extend star bilinearly to truncated series with Poly2 coefficients."""
-    out = [Poly2.zero() for _ in range(order + 1)]
-    for m in range(min(A.order, order) + 1):
-        u = A.coeffs[m]
-        if u.is_zero():
-            continue
-        for n in range(min(B.order, order - m) + 1):
-            v = B.coeffs[n]
-            if v.is_zero():
-                continue
-            partial, _ = star(u, v, spec, order - m - n)
-            for l, t in enumerate(partial.coeffs):
-                if not t.is_zero():
-                    out[m + n + l] = out[m + n + l] + t
-    return TruncSeries(P2, order, out)
+    """Extend star bilinearly to truncated series with Poly2 coefficients.
+
+    The result is known only modulo the smallest of the three orders, as for
+    every binary operation on truncated series.
+    """
+    order = min(A.order, B.order, order)
+    return TruncSeries(P2, order, _star_kernel(A.coeffs, B.coeffs, spec, order)[0])
 
 
 def embed(a: Poly2, order: int) -> TruncSeries:
@@ -373,7 +399,12 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 
 
 def associativity_check(spec: StarSpec, order: int, trials: int, seed: int) -> dict:
-    """Residuals of (a*b)*c - a*(b*c) modulo hbar^(order+1) on random triples."""
+    """Whether (a*b)*c = a*(b*c) modulo hbar^(order+1) on random triples.
+
+    Both sides are series of the same order over Poly2, whose terms are
+    canonical nonzero Fractions, so comparing them is the same exact verdict
+    as testing their difference for zero.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     failures = []
@@ -382,7 +413,7 @@ def associativity_check(spec: StarSpec, order: int, trials: int, seed: int) -> d
         a, b, c = (_random_poly(rng) for _ in range(3))
         left = star_series(star(a, b, spec, order)[0], embed(c, order), spec, order)
         right = star_series(embed(a, order), star(b, c, spec, order)[0], spec, order)
-        if not (left - right).is_zero():
+        if left != right:
             failures.append(t)
     return {
         "kind": spec.kind,

@@ -32,12 +32,12 @@ records the verdict against both readings rather than assuming either.
 from __future__ import annotations
 
 import random
-import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import rref
 from .qweyl import PseudoPoly, classical
+from .scalars import parse_rational
 
 W1 = classical()
 
@@ -53,25 +53,6 @@ def _poly(terms) -> PseudoPoly:
 
 def _max_degree(p: PseudoPoly) -> int:
     return max((i + j for (i, j) in p.terms), default=0)
-
-
-# Input coefficients stay far below the 4300 digits Python will convert
-# between int and str, so every value a report prints stays printable.  The
-# decimal exponent is bounded before parsing, because Fraction("1e999999999")
-# builds a billion-digit integer before any size check could see it.
-_MAX_DIGITS = 1000
-_COEFFICIENT_BOUND = 10 ** _MAX_DIGITS
-
-
-def _coefficient(c) -> Fraction:
-    text = str(c)
-    exponent = re.search(r"[eE]([-+]?\d+)", text)
-    if exponent and abs(int(exponent.group(1))) > _MAX_DIGITS:
-        raise ValueError(f"coefficient exponent beyond {_MAX_DIGITS}: {text[:40]}")
-    v = Fraction(text)
-    if max(abs(v.numerator), v.denominator) >= _COEFFICIENT_BOUND:
-        raise ValueError(f"coefficient with more than {_MAX_DIGITS} digits")
-    return v
 
 
 class W1Cocycle:
@@ -106,7 +87,7 @@ class W1Cocycle:
                 i, j, c = term
                 if not all(type(e) is int and e >= 0 for e in (i, j)):
                     raise ValueError(f"exponents are integers >= 0, not {i!r:.20}, {j!r:.20}")
-                terms[(i, j)] = _coefficient(c)
+                terms[(i, j)] = parse_rational(c)
             return _poly(terms)
 
         return cls(load(d.get("gammaF", [])), load(d.get("gammaG", [])))

@@ -149,6 +149,7 @@ def test_encoder_exact_scalars():
     ["diagram", "nerve", "--maxdim", "-1"],
     ["diagram", "delta2", "--trials", "0"],
     ["w1", "reduce", "--input", "{empty}", "--cutoff", "-3"],
+    ["groebner", "run", "--lambda", "1e5000"],
 ])
 def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {"{list}": "[]", "{zero}": '{"gammaF": [[1, 2, "1/0"]]}', "{empty}": "{}"}

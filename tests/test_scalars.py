@@ -20,6 +20,7 @@ from diagdeform.scalars import (
     ValuationMismatch,
     exp_hbar,
     one_plus_hbar,
+    parse_rational,
     poly_gcd,
     series_div_valuation,
     series_expand,
@@ -219,3 +220,22 @@ def test_every_ring_adapter_inverts_units_and_refuses_non_units():
         for a in [ring.zero] + others:
             with pytest.raises(NonInvertibleLeadingCoefficient):
                 ring.inv(a)
+
+
+def test_parse_rational_bounds_digits_before_parsing():
+    assert parse_rational("-2/7") == Fraction(-2, 7)
+    assert parse_rational(" 1.5e-3 ") == Fraction(3, 2000)
+    assert parse_rational(3) == 3
+    assert parse_rational("1e999") == 10 ** 999
+    # the exponent is refused before Fraction would build the integer,
+    # also when it is written with the underscores Fraction accepts
+    for text in ["1e1001", "1e-5000", "1e1_001", "1e999_999_999", "1e1000"]:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_rational("1" * 1001)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
+    for bad in ["x", "", None, "nan", "inf", [1]]:
+        with pytest.raises(ValueError):
+            parse_rational(bad)

@@ -1,9 +1,13 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from diagdeform.scalars import TruncSeries
 from diagdeform.star import (
+    P2,
     Derivation,
     NonCommutingDerivations,
     Poly2,
@@ -181,3 +185,103 @@ def test_seed_split_reproducible():
     a = associativity_check(StarSpec.normal(), 3, 5, 77)
     b = associativity_check(StarSpec.normal(), 3, 5, 77)
     assert a == b
+
+
+def _digest_spec():
+    # constant-coefficient derivations commute, so these pairs are legal;
+    # the denominators 3 and 7 give the compiled operator a nontrivial _den
+    return StarSpec.custom([
+        (Derivation(Fraction(1, 3), 0), Derivation(0, Fraction(2, 7))),
+        (Derivation(0, Fraction(-5, 7)), Derivation(Fraction(4, 3), 0)),
+    ])
+
+
+def _digest_poly(rng):
+    terms = {}
+    for i in range(4):
+        for j in range(4 - i):
+            if rng.random() < 0.4:
+                terms[(i, j)] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5]))
+    return Poly2(terms)
+
+
+def _digest_series(rng, order):
+    return TruncSeries(P2, order, [
+        _digest_poly(rng) if rng.random() < 0.6 else Poly2.zero()
+        for _ in range(rng.randint(1, order + 1))])
+
+
+# SHA-256 of seeded star results (coefficients and exact flags) and
+# star_series results with equal input orders, recorded before star_series
+# moved onto the level-keyed integer tensor; any changed byte shows here.
+STAR_KERNEL_DIGEST = "aa8b726b04a5eda36930afe437a3d86e725a01219b2729c9897c337e769ab78e"
+
+
+def test_star_and_star_series_outputs_are_pinned():
+    specs = [StarSpec.normal(), StarSpec.moyal(), StarSpec.qplane(), _digest_spec()]
+    rng = random.Random("star-kernel-digest")
+    records = []
+    for spec in specs:
+        for order in range(8):
+            for _ in range(50):
+                series, exact = star(_digest_poly(rng), _digest_poly(rng), spec, order)
+                records.append([series.to_json(), exact])
+            for _ in range(25):
+                A, B = _digest_series(rng, order), _digest_series(rng, order)
+                records.append(star_series(A, B, spec, order).to_json())
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == STAR_KERNEL_DIGEST
+
+
+def test_star_series_truncates_to_the_smaller_input_order():
+    # A is known only mod hbar^2, so its hbar^2 coefficient against y is not
+    normal = StarSpec.normal()
+    got = star_series(TruncSeries(P2, 1, [X, X]), embed(Y, 6), normal, 6)
+    assert got.order == 1
+    assert got == TruncSeries(P2, 1, [X * Y, X * Y + Poly2.const(1)])
+    assert star_series(embed(Y, 6), TruncSeries(P2, 2, [X]), normal, 6).order == 2
+    assert star_series(embed(X, 6), embed(Y, 6), normal, 3).order == 3
+
+
+def test_associativity_check_reports_a_non_associative_spec():
+    # y dx (x) dy: y dx does not commute with dy, so the exponential is
+    # not associative; the constructor is called directly to skip the gate
+    spec = StarSpec("noncommuting", [(Derivation(Y, 0), Derivation(0, 1))])
+    rep = associativity_check(spec, 3, 5, 11)
+    assert rep["failures"] == [0, 1, 2, 3, 4] and not rep["ok"]
+
+
+# StarSpec._apply calls over one criterion_star_products(1729): one per
+# operator step of each star and star_series, and one per exact flag.
+STAR_PRODUCTS_APPLY_CALLS = 2650
+
+
+def test_star_products_criterion_work_is_pinned(monkeypatch):
+    from diagdeform import star as star_module
+    from diagdeform.acceptance import criterion_star_products
+
+    calls = {"apply": 0, "add_in_series": 0}
+    inside = []
+    apply, add, series = StarSpec._apply, Poly2.__add__, star_module.star_series
+
+    def counted_apply(self, tensor, top):
+        calls["apply"] += 1
+        return apply(self, tensor, top)
+
+    def counted_add(self, other):
+        calls["add_in_series"] += bool(inside)
+        return add(self, other)
+
+    def marked_series(*args):
+        inside.append(True)
+        try:
+            return series(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(StarSpec, "_apply", counted_apply)
+    monkeypatch.setattr(Poly2, "__add__", counted_add)
+    monkeypatch.setattr(Poly2, "__radd__", counted_add)
+    monkeypatch.setattr(star_module, "star_series", marked_series)
+    assert criterion_star_products(1729)["ok"]
+    assert calls == {"apply": STAR_PRODUCTS_APPLY_CALLS, "add_in_series": 0}
