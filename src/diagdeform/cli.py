@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -642,17 +643,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.fn(args)
+        if not getattr(args, "_raw", False):
+            result = _emit(result, args.json)
+        sys.stdout.flush()
     except SystemExit:
         raise
     except BrokenPipeError:
+        # The reader of stdout is gone.  Point stdout at devnull so that the
+        # interpreter's last flush of what is still buffered cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except ValueError as exc:
         # the library rejects out-of-range parameters with ValueError
         print(f"diagdeform: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    if getattr(args, "_raw", False):
-        return result
-    return _emit(result, args.json)
+    return result
 
 
 if __name__ == "__main__":

@@ -55,9 +55,6 @@ __all__ = [
     "diagram_algebra",
     "matrix_model_check",
     "triangle_check",
-    "category_from_json",
-    "toy_algebra_from_json",
-    "diagram_from_json",
 ]
 
 
@@ -796,13 +793,8 @@ def single_morphism_embedding_check(B: ToyAlgebra, A: ToyAlgebra, phi,
     D = DiagramOfAlgebras(SmallCategory.arrow(), {"A": B, "B": A}, {"u": phi})
 
     def rand_table(src_dim, dst_dim, arity):
-        table = {}
-        tuples = [()]
-        for _ in range(arity):
-            tuples = [t + (i,) for t in tuples for i in range(src_dim)]
-        for t in tuples:
-            table[t] = [Fraction(rng.randint(-2, 2)) for _ in range(dst_dim)]
-        return table
+        return {t: [Fraction(rng.randint(-2, 2)) for _ in range(dst_dim)]
+                for t in _index_tuples(src_dim, arity)}
 
     for degree in degrees:
         gb = rand_table(B.dim, B.dim, degree)
@@ -896,47 +888,3 @@ def triangle_check(alpha, beta, gamma_alpha, gamma_beta, gamma_theta) -> dict:
             [[-c for c in row] for row in _mat_mul(gamma_beta, alpha)],
         )
     return {"holds": holds, "theta_is_zero": theta_zero, "anticommutation": anti}
-
-
-# ------------------------------------------------------------------ loaders
-
-
-def category_from_json(d) -> SmallCategory:
-    """{objects, morphisms: [{name, dom, cod}], compositions: [[g, f, gf]]}.
-
-    Identity morphisms are implicit: one is added per object under the name
-    id_<object> unless an "identities" map is given explicitly.
-    """
-    morphisms = {m["name"]: (m["dom"], m["cod"]) for m in d["morphisms"]}
-    identities = d.get("identities")
-    if identities is None:
-        identities = {}
-        for obj in d["objects"]:
-            name = f"id_{obj}"
-            if name in morphisms:
-                raise ValueError(f"morphism name {name} collides with an implicit identity")
-            morphisms[name] = (obj, obj)
-            identities[obj] = name
-    table = {(g, f): gf for g, f, gf in d.get("compositions", [])}
-    return SmallCategory(d["objects"], morphisms, identities, table)
-
-
-def toy_algebra_from_json(d) -> ToyAlgebra:
-    """{dim, unit: [..], table: [[i, j, [coeffs]], ..]}; missing pairs are zero."""
-    dim = d["dim"]
-    table = [[_zeros(dim) for _ in range(dim)] for _ in range(dim)]
-    for i, j, coeffs in d["table"]:
-        table[i][j] = [Fraction(str(c)) for c in coeffs]
-    unit = [Fraction(str(c)) for c in d["unit"]]
-    return ToyAlgebra(dim, table, unit)
-
-
-def diagram_from_json(d) -> DiagramOfAlgebras:
-    """{category: .., algebras: {obj: toyalg}, maps: {morphism: matrix}}"""
-    cat = category_from_json(d["category"])
-    algebras = {obj: toy_algebra_from_json(a) for obj, a in d["algebras"].items()}
-    maps = {
-        f: [[Fraction(str(c)) for c in row] for row in M]
-        for f, M in d.get("maps", {}).items()
-    }
-    return DiagramOfAlgebras(cat, algebras, maps)

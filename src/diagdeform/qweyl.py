@@ -27,11 +27,11 @@ from fractions import Fraction
 from .scalars import (
     QQ,
     QVAR,
-    NonInvertibleLeadingCoefficient,
     RatFunc,
     RatFuncRing,
     SeriesRing,
     SparsePoly,
+    SparsePolyRing,
     UniPoly,
     one_plus_hbar,
 )
@@ -78,8 +78,12 @@ class PseudoPoly(SparsePoly):
         return result
 
 
-class QWeyl:
-    """Context object: scalar ring plus the chosen value of q."""
+class QWeyl(SparsePolyRing):
+    """Context object: scalar ring plus the chosen value of q.
+
+    The algebra is also the ring adapter of its own elements, so that
+    TruncSeries can carry PseudoPoly coefficients.
+    """
 
     def __init__(self, ring, q):
         self.ring = ring
@@ -96,21 +100,6 @@ class QWeyl:
         if isinstance(v, (PseudoPoly, int, Fraction)):
             return self.zero._coerce(v)
         return PseudoPoly(self, {(0, 0): v})
-
-    # The algebra is also the ring adapter of its own elements, so that
-    # TruncSeries can carry PseudoPoly coefficients.
-
-    def from_rational(self, c) -> PseudoPoly:
-        return PseudoPoly(self, {(0, 0): self.ring.from_rational(c)})
-
-    def is_zero(self, a: PseudoPoly) -> bool:
-        return a.is_zero()
-
-    def inv(self, a: PseudoPoly) -> PseudoPoly:
-        c = a.terms.get((0, 0))
-        if c is None or len(a.terms) > 1:
-            raise NonInvertibleLeadingCoefficient("only scalars invert in the algebra")
-        return self.coerce(self.ring.inv(c))
 
     def monomial(self, i: int, j: int, c=1) -> PseudoPoly:
         if isinstance(c, (int, Fraction)):

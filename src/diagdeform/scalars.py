@@ -661,7 +661,9 @@ class SparsePoly:
 
     Printing, ``to_json`` and the grading deg x = 1, deg y = -1 read the
     exponents as those of two variables x and y.  MultiPoly, in four
-    variables, brings its own ``to_json`` and ``__str__`` and has no grading.
+    variables, and SphereElement, keyed by basis atoms, bring their own
+    ``to_json`` and ``__str__``; ``degrees`` and ``is_homogeneous`` do not
+    apply to either.
     """
 
     __slots__ = ("terms",)
@@ -759,6 +761,36 @@ class SparsePoly:
 
     def __repr__(self):
         return str(self)
+
+
+class SparsePolyRing:
+    """Ring adapter so TruncSeries can carry the elements of a SparsePoly
+    algebra, given by its zero.
+
+    Only the nonzero constants are inverted.  Anything else raises
+    NonInvertibleLeadingCoefficient, also a unit such as x in the sphere
+    algebra: no caller needs those inverses.
+    """
+
+    def __init__(self, zero, name: str):
+        self.zero = zero
+        self.one = zero + 1
+        self.name = name
+
+    def from_rational(self, c):
+        return self.zero + c
+
+    def is_zero(self, a) -> bool:
+        return a.is_zero()
+
+    def inv(self, a):
+        c = a.terms.get(a._one_key)
+        if c is None or len(a.terms) > 1:
+            raise NonInvertibleLeadingCoefficient(f"only nonzero constants invert in {self!r}")
+        return a._like({a._one_key: a.ring.inv(c)})
+
+    def __repr__(self):
+        return self.name
 
 
 class TruncSeries:

@@ -7,6 +7,11 @@ element is written uniquely as
     polynomial part   sum_k  c_k x^k
   + principal parts   sum_m  a_m / (x - p)^m   at each finite pole p.
 
+SphereElement is a SparsePoly whose terms map one key per basis atom:
+(POLY, k) = ("", k) for x^k with k >= 0, and (tag, m) for 1/(x - p)^m with
+tag "0", "1" or "lambda" and m >= 1.  The empty tag sorts first, so the
+sorted keys are the printing order.
+
 Addition is componentwise.  Multiplication needs two rewriting moves to
 return to normal form: a polynomial times a principal part is expanded
 binomially around the pole, and a product of principal parts at two
@@ -30,9 +35,10 @@ from math import comb
 
 from .scalars import (
     LAMBDA,
-    NonInvertibleLeadingCoefficient,
     RatFunc,
     RatFuncRing,
+    SparsePoly,
+    SparsePolyRing,
     TruncSeries,
     UniPoly,
     as_ratfunc,
@@ -40,7 +46,7 @@ from .scalars import (
 
 LAM = RatFuncRing(LAMBDA)
 
-P0, P1, PL = "0", "1", "lambda"
+POLY, P0, P1, PL = "", "0", "1", "lambda"
 POLE_TAGS = (P0, P1, PL)
 
 _lam = RatFunc.gen(LAMBDA)
@@ -79,32 +85,35 @@ def _cross(tag1: str, m: int, tag2: str, n: int):
     return out
 
 
-class SphereElement:
+class SphereElement(SparsePoly):
     """Normal-form element of A: polynomial part plus principal parts."""
 
-    __slots__ = ("poly", "poles")
+    __slots__ = ()
+
+    ring = LAM
+    _one_key = (POLY, 0)
 
     def __init__(self, poly=None, poles=None):
-        self.poly = {}
-        for k, c in (poly or {}).items():
-            c = as_ratfunc(c, LAMBDA)
-            if not c.is_zero():
-                if k < 0:
-                    raise ValueError("negative x-powers belong in the pole at 0")
-                self.poly[k] = c
-        self.poles = {}
+        atoms = [((POLY, k), c) for k, c in (poly or {}).items()]
         for tag, parts in (poles or {}).items():
             if tag not in POLE_TAGS:
                 raise ValueError(f"unknown pole tag {tag!r}")
-            clean = {}
-            for m, c in parts.items():
-                c = as_ratfunc(c, LAMBDA)
-                if m < 1:
-                    raise ValueError("principal part orders start at 1")
-                if not c.is_zero():
-                    clean[m] = c
-            if clean:
-                self.poles[tag] = clean
+            atoms += [((tag, m), c) for m, c in parts.items()]
+        self.terms = {}
+        for (tag, n), c in atoms:
+            if tag and n < 1:
+                raise ValueError("principal part orders start at 1")
+            if n < 0:
+                raise ValueError("negative x-powers belong in the pole at 0")
+            c = as_ratfunc(c, LAMBDA)
+            if not c.is_zero():
+                self.terms[tag, n] = c
+
+    def _coerce(self, other):
+        """As the core's, and a rational function in lambda is a constant."""
+        if isinstance(other, (RatFunc, UniPoly)):
+            return SphereElement.const(other)
+        return SparsePoly._coerce(self, other)
 
     # ------------------------------------------------------------ constructors
 
@@ -132,88 +141,37 @@ class SphereElement:
 
     # ------------------------------------------------------------- predicates
 
-    def is_zero(self) -> bool:
-        return not self.poly and not self.poles
-
-    def pole_part(self, tag: str):
-        return dict(self.poles.get(tag, {}))
+    def part(self, tag: str) -> dict:
+        """{order: coefficient} of one tag: the x-powers of the polynomial
+        part for POLY, the pole orders of the principal part for a pole."""
+        return {n: c for (t, n), c in self.terms.items() if t == tag}
 
     def is_regular_at(self, tag: str) -> bool:
-        return tag not in self.poles
+        return all(t != tag for t, _ in self.terms)
 
     def in_subalgebra(self) -> bool:
         """Membership in B: no principal part at the moving pole."""
         return self.is_regular_at(PL)
 
-    def __eq__(self, other):
-        if not isinstance(other, SphereElement):
-            return NotImplemented
-        return self.poly == other.poly and self.poles == other.poles
-
-    def __hash__(self):
-        return hash(
-            (
-                tuple(sorted(self.poly.items(), key=lambda kv: kv[0])),
-                tuple(
-                    (tag, tuple(sorted(parts.items())))
-                    for tag, parts in sorted(self.poles.items())
-                ),
-            )
-        )
-
     # ------------------------------------------------------------- arithmetic
-
-    def __neg__(self):
-        return SphereElement(
-            poly={k: -c for k, c in self.poly.items()},
-            poles={t: {m: -c for m, c in p.items()} for t, p in self.poles.items()},
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, (SphereElement, RatFunc, UniPoly, int, Fraction)):
-            return NotImplemented
-        other = _as_element(other)
-        poly = dict(self.poly)
-        for k, c in other.poly.items():
-            poly[k] = poly.get(k, LAM.zero) + c
-        poles = {t: dict(p) for t, p in self.poles.items()}
-        for t, parts in other.poles.items():
-            dst = poles.setdefault(t, {})
-            for m, c in parts.items():
-                dst[m] = dst.get(m, LAM.zero) + c
-        return SphereElement(poly, poles)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (SphereElement, RatFunc, UniPoly, int, Fraction)):
-            return NotImplemented
-        return self + (-_as_element(other))
-
-    def __rsub__(self, other):
-        return _as_element(other) - self
-
-    def scale(self, c) -> "SphereElement":
-        c = as_ratfunc(c, LAMBDA)
-        return SphereElement(
-            poly={k: c * v for k, v in self.poly.items()},
-            poles={t: {m: c * v for m, v in p.items()} for t, p in self.poles.items()},
-        )
 
     def __mul__(self, other):
         if isinstance(other, (RatFunc, UniPoly, int, Fraction)):
-            return self.scale(other)
+            return self.scale(as_ratfunc(other, LAMBDA))
         if not isinstance(other, SphereElement):
             return NotImplemented
-        out = SphereElement.zero()
-        for a in self._atoms():
-            for b in other._atoms():
-                out = out + _atom_product(a, b)
-        return out
+        out = {}
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                c = ca * cb
+                for key, w in _atom_product(a, b).items():
+                    w = c * w
+                    out[key] = out[key] + w if key in out else w
+        return self._like({k: c for k, c in out.items() if not c.is_zero()})
 
     def __rmul__(self, other):
         if isinstance(other, (RatFunc, UniPoly, int, Fraction)):
-            return self.scale(other)
+            return self.scale(as_ratfunc(other, LAMBDA))
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -224,25 +182,17 @@ class SphereElement:
             result = result * self
         return result
 
-    def _atoms(self):
-        for k, c in self.poly.items():
-            yield ("poly", k, c)
-        for tag, parts in self.poles.items():
-            for m, c in parts.items():
-                yield ("pole", (tag, m), c)
-
     # ------------------------------------------------------------ derivations
 
     def derivative(self) -> "SphereElement":
         """d/dx, computed term by term; A is closed under it."""
-        poly = {}
-        for k, c in self.poly.items():
-            if k > 0:
-                poly[k - 1] = c * k
-        poles = {}
-        for tag, parts in self.poles.items():
-            poles[tag] = {m + 1: c * (-m) for m, c in parts.items()}
-        return SphereElement(poly, poles)
+        out = {}
+        for (tag, n), c in self.terms.items():
+            if tag:
+                out[tag, n + 1] = c * (-n)
+            elif n:
+                out[tag, n - 1] = c * n
+        return self._like(out)
 
     def substitute_scale(self) -> "SphereElement":
         """The map B -> A induced by x -> x/lambda.
@@ -254,51 +204,31 @@ class SphereElement:
         """
         if not self.in_subalgebra():
             raise NotInSubalgebra("substitute_scale is defined on B only")
-        out = SphereElement.zero()
-        for k, c in self.poly.items():
-            out = out + SphereElement.x_power(k, c * _lam ** (-k))
-        for m, c in self.pole_part(P0).items():
-            out = out + SphereElement.pole(P0, m, c * _lam ** m)
-        for m, c in self.pole_part(P1).items():
-            out = out + SphereElement.pole(PL, m, c * _lam ** m)
-        return out
+        return self._like({(PL if tag == P1 else tag, n): c * _lam ** (n if tag else -n)
+                           for (tag, n), c in self.terms.items()})
 
     def to_json(self):
-        return {
-            "poly": [[k, self.poly[k].to_json()] for k in sorted(self.poly)],
-            "poles": {
-                tag: [[m, parts[m].to_json()] for m in sorted(parts)]
-                for tag, parts in sorted(self.poles.items())
-            },
-        }
+        out = {"poly": [], "poles": {}}
+        for tag, n in sorted(self.terms):
+            item = [n, self.terms[tag, n].to_json()]
+            if tag:
+                out["poles"].setdefault(tag, []).append(item)
+            else:
+                out["poly"].append(item)
+        return out
 
     def __str__(self):
-        if self.is_zero():
+        if not self.terms:
             return "0"
         bits = []
-        for k in sorted(self.poly):
-            c = self.poly[k]
-            if k == 0:
-                bits.append(f"({c})")
-            elif k == 1:
-                bits.append(f"({c})*x")
-            else:
-                bits.append(f"({c})*x^{k}")
-        for tag in POLE_TAGS:
-            for m in sorted(self.poles.get(tag, {})):
-                c = self.poles[tag][m]
+        for tag, n in sorted(self.terms):
+            if tag:
                 base = "x" if tag == P0 else f"(x-{tag})"
-                pw = base if m == 1 else f"{base}^{m}"
-                bits.append(f"({c})/{pw}")
+                atom = "/" + (base if n == 1 else f"{base}^{n}")
+            else:
+                atom = "" if n == 0 else "*x" if n == 1 else f"*x^{n}"
+            bits.append(f"({self.terms[tag, n]}){atom}")
         return " + ".join(bits)
-
-    __repr__ = __str__
-
-
-def _as_element(v) -> SphereElement:
-    if isinstance(v, SphereElement):
-        return v
-    return SphereElement.const(as_ratfunc(v, LAMBDA))
 
 
 def _binom_to_x(p: RatFunc, j: int):
@@ -306,36 +236,27 @@ def _binom_to_x(p: RatFunc, j: int):
     return {t: as_ratfunc(comb(j, t), LAMBDA) * (-p) ** (j - t) for t in range(j + 1)}
 
 
-def _atom_product(a, b) -> SphereElement:
-    kind_a, data_a, ca = a
-    kind_b, data_b, cb = b
-    c = ca * cb
-    if kind_a == "poly" and kind_b == "poly":
-        return SphereElement(poly={data_a + data_b: c})
-    if kind_a == "poly" or kind_b == "poly":
-        if kind_a == "poly":
-            k, (tag, m) = data_a, data_b
+def _atom_product(a, b) -> dict:
+    """Normal form of the product of two basis atoms, as {atom: coefficient}."""
+    (tag_a, n_a), (tag_b, n_b) = a, b
+    if tag_a == tag_b:
+        return {(tag_a, n_a + n_b): LAM.one}
+    if tag_a and tag_b:
+        return _cross(tag_a, n_a, tag_b, n_b)
+    (tag, m), k = (a, n_b) if tag_a else (b, n_a)
+    p = _POLE_VALUE[tag]
+    out = {}
+    for i in range(k + 1):
+        w = as_ratfunc(comb(k, i), LAMBDA) * p ** (k - i)
+        if w.is_zero():
+            continue
+        if i < m:
+            out[tag, m - i] = w
         else:
-            k, (tag, m) = data_b, data_a
-        p = _POLE_VALUE[tag]
-        out = SphereElement.zero()
-        for i in range(k + 1):
-            w = c * as_ratfunc(comb(k, i), LAMBDA) * p ** (k - i)
-            if w.is_zero():
-                continue
-            if i < m:
-                out = out + SphereElement.pole(tag, m - i, w)
-            else:
-                for t, bc in _binom_to_x(p, i - m).items():
-                    out = out + SphereElement.x_power(t, w * bc)
-        return out
-    (tag1, m1), (tag2, m2) = data_a, data_b
-    if tag1 == tag2:
-        return SphereElement.pole(tag1, m1 + m2, c)
-    parts = {}
-    for (tag, order), w in _cross(tag1, m1, tag2, m2).items():
-        parts.setdefault(tag, {})[order] = c * w
-    return SphereElement(poles=parts)
+            for t, bc in _binom_to_x(p, i - m).items():
+                key = (POLY, t)
+                out[key] = out[key] + w * bc if key in out else w * bc
+    return out
 
 
 def derivation_apply(v: SphereElement, e: SphereElement) -> SphereElement:
@@ -343,32 +264,7 @@ def derivation_apply(v: SphereElement, e: SphereElement) -> SphereElement:
     return v * e.derivative()
 
 
-class SphereRing:
-    """Ring adapter so TruncSeries can carry SphereElement coefficients."""
-
-    zero = SphereElement.zero()
-    one = SphereElement.one()
-
-    def from_rational(self, c) -> SphereElement:
-        return SphereElement.const(c)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def inv(self, a: SphereElement) -> SphereElement:
-        """Inverse of a nonzero constant.  The other units, such as x or
-        x - 1, are not inverted here and raise like a non-unit."""
-        c = a.poly.get(0)
-        if c is None or a.poles or len(a.poly) > 1:
-            raise NonInvertibleLeadingCoefficient(
-                "only nonzero constants are inverted in A(sphere)")
-        return SphereElement.const(c.inverse())
-
-    def __repr__(self):
-        return "A(sphere)"
-
-
-SPHERE = SphereRing()
+SPHERE = SparsePolyRing(SphereElement.zero(), "A(sphere)")
 
 
 def geometric_series_check(order: int):

@@ -31,6 +31,7 @@ from .sphere import (
     P0,
     P1,
     PL,
+    POLY,
     SPHERE,
     SphereElement,
     derivation_apply,
@@ -100,16 +101,16 @@ def solve_L(c: SphereElement):
     b = SphereElement.zero()
     x_coeff = RatFunc.zero(LAMBDA)
     pole_one = {}
-    for k, ck in c.poly.items():
+    for k, ck in c.part(POLY).items():
         if k == 1:
             x_coeff = ck
         else:
             factor = 1 - lam ** (1 - k)
             b = b + SphereElement.x_power(k, ck / factor)
-    for m, cm in c.pole_part(P0).items():
+    for m, cm in c.part(P0).items():
         b = b + SphereElement.pole(P0, m, cm / (1 - lam ** (m + 1)))
-    u_parts = c.pole_part(P1)
-    v_parts = c.pole_part(PL)
+    u_parts = c.part(P1)
+    v_parts = c.part(PL)
     for m in sorted(set(u_parts) | set(v_parts)):
         u = u_parts.get(m, RatFunc.zero(LAMBDA))
         v = v_parts.get(m, RatFunc.zero(LAMBDA))
@@ -192,6 +193,8 @@ def exp_deform_morphism(v: SphereElement, base="f", order=4, trials=20, seed=7):
     morphism, so a failure here means the arithmetic is wrong, not the
     input.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     base_fn = _base_map(base)
 
     def phi(b: SphereElement) -> TruncSeries:

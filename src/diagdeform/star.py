@@ -48,8 +48,8 @@ from math import factorial, lcm
 
 from .scalars import (
     QQ,
-    NonInvertibleLeadingCoefficient,
     SparsePoly,
+    SparsePolyRing,
     TruncSeries,
     _fr,
     exp_hbar,
@@ -136,29 +136,7 @@ class Poly2(SparsePoly):
             {(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
 
 
-class Poly2Ring:
-    """Ring adapter so TruncSeries can hold Poly2 coefficients."""
-
-    zero = Poly2.zero()
-    one = Poly2.const(1)
-
-    def from_rational(self, c) -> Poly2:
-        return Poly2.const(c)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def inv(self, a: Poly2) -> Poly2:
-        c = a.terms.get((0, 0))
-        if c is None or len(a.terms) > 1:
-            raise NonInvertibleLeadingCoefficient("only nonzero constants invert in k[x,y]")
-        return Poly2.const(1 / c)
-
-    def __repr__(self):
-        return "QQ[x,y]"
-
-
-P2 = Poly2Ring()
+P2 = SparsePolyRing(Poly2.zero(), "QQ[x,y]")
 
 
 def _integer_form(*polys):

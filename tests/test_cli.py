@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,8 @@ def test_encoder_exact_scalars():
     ["diagram", "delta2", "--trials", "0"],
     ["w1", "reduce", "--input", "{empty}", "--cutoff", "-3"],
     ["groebner", "run", "--lambda", "1e5000"],
+    ["sphere", "exp-deform", "--trials", "-1"],
+    ["sphere", "exp-deform", "--trials", "0"],
 ])
 def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {"{list}": "[]", "{zero}": '{"gammaF": [[1, 2, "1/0"]]}', "{empty}": "{}"}
@@ -162,6 +168,25 @@ def test_malformed_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.strip() and "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["groebner", "run"],
+    ["weyl", "eta", "--json"],
+    ["sphere", "h2"],
+    ["acceptance", "--filter", "sphere-h2", "--json"],
+])
+def test_closed_stdout_exits_0_without_traceback(argv, unbuffered):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "diagdeform.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 # SHA-256 of the exact `--json` stdout, recorded before the scalar layer was
@@ -188,6 +213,12 @@ PINNED_REPORTS = [
      "47812100f04bfacec0e2dbaf53b05f90e01e54beac9d1d4d73d1fac0419b31e7"),
     (["acceptance", "--filter", "star-products"],
      "0e3f24e25922f7842d7be5482565c7676377798c63e9a3fd94cd1257b199b70c"),
+    # recorded before SphereElement moved onto the sparse-polynomial core
+    (["sphere", "exp-deform", "--direction", "1/(x-1)", "--base", "g", "--order", "3",
+      "--trials", "5", "--t", "3/2"],
+     "2cf678bb0e18a82c009baab3e5df83cc883e2761f1b58523de0daa044cb0ad74"),
+    (["sphere", "series-check", "--order", "12"],
+     "3fc7d08217e2468a719d0d692ef8092e9f68815e2834250c38875e00317e1d38"),
 ]
 
 

@@ -15,7 +15,6 @@ from diagdeform.diagram import (
     TypeMismatch,
     _mat_mul,
     _vec_is_zero,
-    category_from_json,
     check_algebra_map,
     diagram_algebra,
     matrix_model_check,
@@ -24,7 +23,6 @@ from diagdeform.diagram import (
     single_morphism_coboundary,
     single_morphism_embedding_check,
     total_coboundary,
-    toy_algebra_from_json,
     triangle_check,
 )
 
@@ -320,22 +318,6 @@ def test_triangle_condition():
 
     with pytest.raises(TypeMismatch):
         triangle_check(alpha, beta, [[F(1), F(1)]], g_beta, [[F(0)]])
-
-
-def test_json_loaders():
-    cat = category_from_json({
-        "objects": ["p", "q"],
-        "morphisms": [{"name": "f", "dom": "p", "cod": "q"}],
-        "compositions": [],
-    })
-    assert nerve(cat, 2).counts() == [2, 1, 0]
-    alg = toy_algebra_from_json({
-        "dim": 2,
-        "unit": ["1", "0"],
-        "table": [[0, 0, ["1", "0"]], [0, 1, ["0", "1"]],
-                  [1, 0, ["0", "1"]], [1, 1, ["0", "0"]]],
-    })
-    assert alg.table == ToyAlgebra.dual_numbers().table
 
 
 def test_single_morphism_embedding_check_helper():
