@@ -43,13 +43,8 @@ class PseudoPoly(SparsePoly):
     __slots__ = ("algebra",)
 
     def __init__(self, algebra: "QWeyl", terms):
-        clean = {}
-        ring = algebra.ring
-        for key, c in dict(terms).items():
-            if not ring.is_zero(c):
-                clean[key] = c
         self.algebra = algebra
-        self.terms = clean
+        self.terms = {key: c for key, c in dict(terms).items() if c}
 
     @property
     def ring(self):
@@ -81,15 +76,14 @@ class PseudoPoly(SparsePoly):
 class QWeyl(SparsePolyRing):
     """Context object: scalar ring plus the chosen value of q.
 
-    The algebra is also the ring adapter of its own elements, so that
-    TruncSeries can carry PseudoPoly coefficients.
+    The algebra is also the ring of its own elements, so that TruncSeries
+    can carry PseudoPoly coefficients.
     """
 
     def __init__(self, ring, q):
         self.ring = ring
         self.q = q
-        self.zero = PseudoPoly(self, {})
-        self.one = PseudoPoly(self, {(0, 0): ring.one})
+        super().__init__(PseudoPoly(self, {}), f"QWeyl(ring={ring!r})")
         self.x = PseudoPoly(self, {(1, 0): ring.one})
         self.y = PseudoPoly(self, {(0, 1): ring.one})
         self._qpow = [ring.one]
@@ -97,9 +91,10 @@ class QWeyl(SparsePolyRing):
 
     def coerce(self, v) -> PseudoPoly:
         """v as an element of this algebra; a scalar becomes a constant."""
-        if isinstance(v, (PseudoPoly, int, Fraction)):
-            return self.zero._coerce(v)
-        return PseudoPoly(self, {(0, 0): v})
+        p = self.zero._coerce(v)
+        if p is NotImplemented:
+            raise TypeError(f"cannot coerce {v!r} into {self!r}")
+        return p
 
     def monomial(self, i: int, j: int, c=1) -> PseudoPoly:
         if isinstance(c, (int, Fraction)):
@@ -145,7 +140,7 @@ class QWeyl(SparsePolyRing):
         mj = self.qint(j)
         for (a, b), c in self._shift(j - 1, k - 1).items():
             out[(a, b)] = out.get((a, b), self.ring.zero) - mj * c
-        out = {k2: v for k2, v in out.items() if not self.ring.is_zero(v)}
+        out = {k2: v for k2, v in out.items() if v}
         self._shift_cache[key] = out
         return out
 
@@ -195,9 +190,6 @@ class QWeyl(SparsePolyRing):
 
     def commutator(self, a: PseudoPoly, b: PseudoPoly) -> PseudoPoly:
         return self.multiply(a, b) - self.multiply(b, a)
-
-    def __repr__(self):
-        return f"QWeyl(ring={self.ring!r})"
 
 
 def symbolic() -> QWeyl:

@@ -10,12 +10,14 @@ the quantum parameter, "hbar" for the formal deformation parameter.  Tags are
 kept apart on purpose; adding a q-polynomial to a lambda-polynomial is a bug
 in the caller, so it raises TagMismatch instead of guessing.
 
-TruncSeries is generic over its coefficient ring through the small ring
-adapters at the bottom of this module, so the same container later carries
-rational coefficients, rational-function coefficients, or whole algebra
-elements.  SparsePoly, the sparse-polynomial core of the algebras built on
-this tower, sits next to those adapters.  All equality is structural and
-exact; nothing here ever rounds.
+TruncSeries is generic over its coefficient ring, so the same container
+carries rational coefficients, rational-function coefficients, or whole
+algebra elements.  Every coefficient ring is a Ring: its zero, its one, the
+embedding of the rationals and, for SeriesRing and SparsePolyRing, its own
+inverse.  The elements answer the other questions themselves: bool(c) says
+c != 0.  SparsePoly, the sparse-polynomial core of the algebras built on
+this tower, sits next to the rings.  All equality is structural and exact;
+nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ class NonInvertibleLeadingCoefficient(ScalarError):
 
 
 def _fr(v) -> Fraction:
+    """An integer or a fraction as a Fraction; text goes through
+    parse_rational, which bounds its size."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"cannot coerce {v!r} to a rational")
 
@@ -584,60 +586,50 @@ def specialize(f, value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-ring adapters
+# coefficient rings
 
 
-class RationalRing:
-    """The rationals, as a coefficient ring for TruncSeries and friends."""
+class Ring:
+    """A coefficient ring for TruncSeries and the sparse algebras, given by
+    its zero.  Its elements answer the other questions themselves: bool(c)
+    says c != 0 and zero + c embeds an integer or a fraction c.
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    Rings compare by identity; a subclass whose instances are built more
+    than once for the same ring says otherwise.
+    """
 
-    def from_rational(self, c) -> Fraction:
-        return _fr(c)
+    def __init__(self, zero, name: str):
+        self.zero = zero
+        self.one = zero + 1
+        self.name = name
 
-    def is_zero(self, a) -> bool:
-        return a == 0
+    def from_rational(self, c):
+        return self.zero + _fr(c)
 
     def inv(self, a):
-        if a == 0:
-            raise NonInvertibleLeadingCoefficient("division by zero rational")
-        return 1 / _fr(a)
+        """The inverse of a, for a ring that is a field."""
+        if not a:
+            raise NonInvertibleLeadingCoefficient(f"zero does not invert in {self!r}")
+        return self.one / a
 
     def __repr__(self):
-        return "QQ"
+        return self.name
 
 
-QQ = RationalRing()
+QQ = Ring(Fraction(0), "QQ")
 
 
-class RatFuncRing:
+class RatFuncRing(Ring):
     """The field of rational functions in one tagged variable."""
 
     def __init__(self, var: str):
-        self.var = var
-        self.zero = RatFunc.zero(var)
-        self.one = RatFunc.one(var)
-
-    def from_rational(self, c) -> RatFunc:
-        return RatFunc.const(self.var, c)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def inv(self, a):
-        if a.is_zero():
-            raise NonInvertibleLeadingCoefficient("division by zero rational function")
-        return a.inverse()
+        super().__init__(RatFunc.zero(var), f"QQ({var})")
 
     def __eq__(self, other):
-        return isinstance(other, RatFuncRing) and self.var == other.var
+        return isinstance(other, RatFuncRing) and self.name == other.name
 
     def __hash__(self):
-        return hash(("RatFuncRing", self.var))
-
-    def __repr__(self):
-        return f"QQ({self.var})"
+        return hash(self.name)
 
 
 def _to_json(c):
@@ -646,14 +638,15 @@ def _to_json(c):
 
 
 class SparsePoly:
-    """Sparse polynomial sum c_m X^m over a coefficient-ring adapter.
+    """Sparse polynomial sum c_m X^m over a coefficient Ring.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  This class
     holds the linear structure shared by every such algebra.  A subclass
     supplies its coefficient ring as ``ring``, a trusted constructor
     ``_like(terms)`` that stores a dict of nonzero coefficients as given
     (the default here suits a class with no state besides ``terms``), and
-    its own multiplication.  Integers and fractions coerce to constants.
+    its own multiplication.  Integers, fractions and coefficients coerce to
+    constants.
 
     ``algebra`` is the context that products are taken in: None where the
     class alone fixes the product, a QWeyl for its pseudopolynomials.
@@ -677,26 +670,36 @@ class SparsePoly:
         return p
 
     def _coerce(self, other):
-        """other as an element of this algebra, or NotImplemented."""
-        if isinstance(other, (int, Fraction)):
-            return self._like({self._one_key: self.ring.from_rational(other)} if other else {})
-        if type(other) is not type(self):
+        """other as an element of this algebra, or NotImplemented.
+
+        An integer, a fraction or a coefficient c becomes the constant
+        ring.zero + c, so a coefficient in another variable raises
+        TagMismatch.
+        """
+        if type(other) is type(self):
+            if other.algebra is not self.algebra:
+                raise ValueError("element belongs to a different algebra context")
+            return other
+        zero = self.ring.zero
+        if not isinstance(other, (int, Fraction, type(zero))):
             return NotImplemented
-        if other.algebra is not self.algebra:
-            raise ValueError("element belongs to a different algebra context")
-        return other
+        c = zero + other
+        return self._like({self._one_key: c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def coefficient(self, *exponents):
         return self.terms.get(exponents, self.ring.zero)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
         if type(other) is not type(self):
-            return NotImplemented
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
@@ -709,12 +712,11 @@ class SparsePoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        is_zero = self.ring.is_zero
         out = dict(self.terms)
         for k, c in other.terms.items():
             if k in out:
                 c = out[k] + c
-                if is_zero(c):
+                if not c:
                     del out[k]
                     continue
             out[k] = c
@@ -735,8 +737,7 @@ class SparsePoly:
         """c * self, for c a coefficient, an integer or a fraction."""
         if isinstance(c, (int, Fraction)):
             c = self.ring.from_rational(c)
-        is_zero = self.ring.is_zero
-        return self._like({k: u for k, v in self.terms.items() if not is_zero(u := c * v)})
+        return self._like({k: u for k, v in self.terms.items() if (u := c * v)})
 
     def degrees(self) -> set:
         """Set of graded degrees i - j present (deg x = 1, deg y = -1)."""
@@ -763,34 +764,20 @@ class SparsePoly:
         return str(self)
 
 
-class SparsePolyRing:
-    """Ring adapter so TruncSeries can carry the elements of a SparsePoly
-    algebra, given by its zero.
+class SparsePolyRing(Ring):
+    """The ring of a SparsePoly algebra, so that TruncSeries can carry its
+    elements.
 
     Only the nonzero constants are inverted.  Anything else raises
     NonInvertibleLeadingCoefficient, also a unit such as x in the sphere
     algebra: no caller needs those inverses.
     """
 
-    def __init__(self, zero, name: str):
-        self.zero = zero
-        self.one = zero + 1
-        self.name = name
-
-    def from_rational(self, c):
-        return self.zero + c
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
     def inv(self, a):
         c = a.terms.get(a._one_key)
         if c is None or len(a.terms) > 1:
             raise NonInvertibleLeadingCoefficient(f"only nonzero constants invert in {self!r}")
         return a._like({a._one_key: a.ring.inv(c)})
-
-    def __repr__(self):
-        return self.name
 
 
 class TruncSeries:
@@ -838,12 +825,15 @@ class TruncSeries:
         raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
 
     def is_zero(self) -> bool:
-        return all(self.ring.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None if all vanish."""
         for i, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
+            if c:
                 return i
         return None
 
@@ -899,11 +889,11 @@ class TruncSeries:
         out = [self.ring.zero for _ in range(n + 1)]
         for i in range(n + 1):
             a = self.coeffs[i]
-            if self.ring.is_zero(a):
+            if not a:
                 continue
             for j in range(n + 1 - i):
                 b = other.coeffs[j]
-                if not self.ring.is_zero(b):
+                if b:
                     out[i + j] = out[i + j] + a * b
         return TruncSeries(self.ring, n, out)
 
@@ -921,7 +911,7 @@ class TruncSeries:
     def __str__(self):
         terms = []
         for k, c in enumerate(self.coeffs):
-            if self.ring.is_zero(c):
+            if not c:
                 continue
             if k == 0:
                 terms.append(f"{c}")
@@ -935,34 +925,19 @@ class TruncSeries:
     __repr__ = __str__
 
 
-class SeriesRing:
-    """Ring adapter whose elements are TruncSeries over a base ring."""
+class SeriesRing(Ring):
+    """The ring of TruncSeries of one order over a base ring."""
 
     def __init__(self, base, order: int):
+        super().__init__(TruncSeries.zero(base, order),
+                         f"{base!r}[[hbar]]/(hbar^{order + 1})")
         self.base = base
         self.order = order
-        self.zero = TruncSeries.zero(base, order)
-        self.one = TruncSeries.one(base, order)
-
-    def from_rational(self, c) -> TruncSeries:
-        return TruncSeries.const(self.base, self.order, self.base.from_rational(c))
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
     def inv(self, a: TruncSeries) -> TruncSeries:
-        """Multiplicative inverse, defined when the constant term is a unit."""
-        c0 = a.coeffs[0]
-        if self.base.is_zero(c0):
-            raise NonInvertibleLeadingCoefficient("series with zero constant term")
-        c0i = self.base.inv(c0)
-        out = [c0i]
-        for n in range(1, self.order + 1):
-            acc = self.base.zero
-            for k in range(n):
-                acc = acc + out[k] * a.coeffs[n - k]
-            out.append(-(c0i * acc))
-        return TruncSeries(self.base, self.order, out)
+        """Multiplicative inverse, defined when the constant term is a unit
+        of the base ring; of the smaller order of a and this ring."""
+        return _quotient([self.base.one], a.coeffs, self.base, min(self.order, a.order))
 
     def __eq__(self, other):
         return (
@@ -974,8 +949,23 @@ class SeriesRing:
     def __hash__(self):
         return hash(("SeriesRing", self.base, self.order))
 
-    def __repr__(self):
-        return f"{self.base!r}[[hbar]]/(hbar^{self.order + 1})"
+
+def _quotient(a, b, ring, n: int) -> TruncSeries:
+    """The series q of order n over ring with q * b = a to that order.
+
+    a and b list coefficients from hbar^0 on; missing ones are zero.  The
+    triangular recurrence q_k = b_0^(-1) (a_k - sum_(i>=1) q_(k-i) b_i)
+    needs b_0 to be a unit of ring, and ring.inv raises
+    NonInvertibleLeadingCoefficient when it is not.
+    """
+    b0i = ring.inv(b[0])
+    out = []
+    for k in range(n + 1):
+        acc = a[k] if k < len(a) else ring.zero
+        for i in range(1, min(k + 1, len(b))):
+            acc = acc - out[k - i] * b[i]
+        out.append(b0i * acc)
+    return TruncSeries(ring, n, out)
 
 
 def series_expand(f: RatFunc, order: int) -> TruncSeries:
@@ -983,25 +973,18 @@ def series_expand(f: RatFunc, order: int) -> TruncSeries:
 
     Raises PoleAtZero when the function genuinely has a pole there, i.e.
     when the hbar-adic valuation of the numerator is smaller than that of
-    the denominator.
+    the denominator, and TagMismatch for a function of another variable.
     """
     f = as_ratfunc(f, HBAR)
-    if f.is_zero():
-        return TruncSeries.zero(QQ, order)
-    vn = f.num.valuation()
-    vd = f.den.valuation()
-    if vd and vn < vd:
-        raise PoleAtZero(f"{f} has a pole of order {vd - vn} at {f.var} = 0")
-    num = f.num.shift_down(vd) if vd else f.num
-    den = f.den.shift_down(vd) if vd else f.den
-    b0 = den.coefficient(0)
-    out = []
-    for n in range(order + 1):
-        acc = num.coefficient(n)
-        for k in range(n):
-            acc -= out[k] * den.coefficient(n - k)
-        out.append(acc / b0)
-    return TruncSeries(QQ, order, out)
+    _check_tags(f.var, HBAR)
+    num, den = f.num, f.den
+    vd = den.valuation()
+    if vd:
+        vn = num.valuation()
+        if vn < vd:
+            raise PoleAtZero(f"{f} has a pole of order {vd - vn} at {f.var} = 0")
+        num, den = num.shift_down(vd), den.shift_down(vd)
+    return _quotient(num.coeffs, den.coeffs, QQ, order)
 
 
 def series_div_valuation(num: TruncSeries, den: TruncSeries) -> TruncSeries:
@@ -1020,17 +1003,7 @@ def series_div_valuation(num: TruncSeries, den: TruncSeries) -> TruncSeries:
     if vn != vd:
         raise ValuationMismatch(f"valuations differ: {vn} vs {vd}")
     n = min(num.order, den.order) - vd
-    a = num.coeffs[vd:]
-    b = den.coeffs[vd:]
-    ring = num.ring
-    b0i = ring.inv(b[0])
-    out = []
-    for k in range(n + 1):
-        acc = a[k]
-        for j in range(k):
-            acc = acc - out[j] * b[k - j]
-        out.append(b0i * acc)
-    return TruncSeries(ring, n, out)
+    return _quotient(num.coeffs[vd:], den.coeffs[vd:], num.ring, n)
 
 
 def one_plus_hbar(order: int) -> TruncSeries:

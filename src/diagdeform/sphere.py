@@ -110,9 +110,9 @@ class SphereElement(SparsePoly):
                 self.terms[tag, n] = c
 
     def _coerce(self, other):
-        """As the core's, and a rational function in lambda is a constant."""
-        if isinstance(other, (RatFunc, UniPoly)):
-            return SphereElement.const(other)
+        """As the core's, and a polynomial in lambda is a constant."""
+        if isinstance(other, UniPoly):
+            other = RatFunc.from_poly(other)
         return SparsePoly._coerce(self, other)
 
     # ------------------------------------------------------------ constructors

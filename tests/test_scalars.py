@@ -148,6 +148,20 @@ def test_truncseries_mixed_orders_take_minimum():
     assert (a + b).order == 3
 
 
+def test_series_inverse_takes_the_smaller_order():
+    a = TruncSeries(QQ, 3, [1, 1])
+    assert SeriesRing(QQ, 6).inv(a) == TruncSeries(QQ, 3, [1, -1, 1, -1])
+    assert SeriesRing(QQ, 2).inv(a) == TruncSeries(QQ, 2, [1, -1, 1])
+
+
+def test_series_expand_refuses_other_variables():
+    for var in (LAMBDA, QVAR):
+        with pytest.raises(TagMismatch):
+            series_expand(RatFunc.gen(var), 3)
+        with pytest.raises(TagMismatch):
+            series_expand(UniPoly.gen(var), 3)
+
+
 def test_series_div_valuation():
     h = TruncSeries.hbar(QQ, 4)
     num = h + h * h  # hbar + hbar^2

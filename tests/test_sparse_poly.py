@@ -15,9 +15,14 @@ from diagdeform.groebner import MultiPoly
 from diagdeform.qweyl import PseudoPoly, classical, deformed, symbolic
 from diagdeform.scalars import (
     LAMBDA,
+    QQ,
     QVAR,
     RatFunc,
+    RatFuncRing,
+    Ring,
+    SeriesRing,
     SparsePolyRing,
+    TagMismatch,
     TruncSeries,
     UniPoly,
     exp_hbar,
@@ -168,6 +173,28 @@ def test_one_core_and_one_ring_adapter():
         assert not own, f"{cls.__name__} redefines {sorted(own)}"
     for ring in (P2, SPHERE, classical(), symbolic(), deformed(2)):
         assert isinstance(ring, SparsePolyRing), ring
+    # one Ring protocol: elements answer bool themselves, one from_rational,
+    # and only the rings that are not fields override inv
+    rings = (QQ, RatFuncRing(QVAR), SeriesRing(QQ, 3), P2, SPHERE, classical(), symbolic(),
+             deformed(2))
+    for ring in rings:
+        assert isinstance(ring, Ring), ring
+    classes = {cls for ring in rings for cls in type(ring).__mro__} - {object}
+    assert not [cls for cls in classes if "is_zero" in vars(cls)]
+    assert {cls for cls in classes if "from_rational" in vars(cls)} == {Ring}
+    assert {cls for cls in classes if "inv" in vars(cls)} == {Ring, SparsePolyRing, SeriesRing}
+
+
+def test_only_parse_rational_reads_text():
+    for ring in (QQ, RatFuncRing(QVAR), SeriesRing(QQ, 3), P2, SPHERE, classical(), symbolic(),
+                 deformed(2)):
+        half = ring.from_rational(F(1, 2))
+        assert half + half == ring.one, ring
+        for bad in (0.5, "1/2", "1e5"):
+            with pytest.raises(TypeError):
+                ring.from_rational(bad)
+    with pytest.raises(TypeError):
+        UniPoly(QVAR, ["1/2"])
 
 
 def test_elements_of_different_contexts_do_not_mix():
@@ -188,6 +215,18 @@ def test_scalars_coerce_to_constants_in_every_sparse_algebra():
         [((0, 0, 1, 0), 1), ((0, 0, 0, 0), F(-1, 2))])
     assert W.coerce(3) == 3 and Poly2.const(3) == 3 and MultiPoly.const(3) == 3
     assert W.x.scale(0).is_zero() and W.x - W.x == 0
+    # a coefficient of the ring is a constant too, and == agrees with -
+    q, lam = RatFunc.gen(QVAR), RatFunc.gen(LAMBDA)
+    S, D = symbolic(), deformed(3)
+    assert S.coerce(q) == q and S.coerce(q) - q == 0
+    assert D.coerce(D.q) == D.q and D.coerce(D.q) - D.q == 0
+    assert classical().x != W.x and classical().one != W.one
+    # a coefficient in another variable is refused, not wrapped
+    for mix in (lambda: S.coerce(lam), lambda: S.x + lam, lambda: lam + S.x):
+        with pytest.raises(TagMismatch):
+            mix()
+    with pytest.raises(TypeError):
+        W.coerce("1/2")
 
 
 def test_sphere_functions_coerce_scalars_to_constants():
@@ -196,6 +235,11 @@ def test_sphere_functions_coerce_scalars_to_constants():
     assert SphereElement.zero() == 0 and x - x == 0 and SphereElement.const(3) == 3
     assert x + lam == lam + x == SphereElement(poly={0: lam, 1: 1})
     assert 1 - x == -(x - 1) == SphereElement(poly={0: 1, 1: -1})
+    assert SphereElement.const(lam) == lam == SphereElement.const(lam.num)
+    q = RatFunc.gen(QVAR)
+    for mix in (lambda: x + q, lambda: q + x, lambda: x - q.num):
+        with pytest.raises(TagMismatch):
+            mix()
 
 
 def test_truncated_series_over_the_weyl_algebra():
