@@ -17,7 +17,16 @@ embedding of the rationals and, for SeriesRing and SparsePolyRing, its own
 inverse.  The elements answer the other questions themselves: bool(c) says
 c != 0.  SparsePoly, the sparse-polynomial core of the algebras built on
 this tower, sits next to the rings.  All equality is structural and exact;
-nothing here ever rounds.
+nothing here ever rounds, and hash agrees with == (a constant hashes as the
+scalar it equals).
+
+The rational layers run on integers.  UniPoly and TruncSeries over QQ store
+integer numerators over one positive denominator, reduced once per result;
+both multiply with the one convolution _convolve.  For a series the ring
+alone picks this form (ring is QQ); over any other ring the coefficients
+are kept as given.  TruncSeries.__mul__ is the one function behind every
+series product, over QQ too, because the benchmark tracer counts series
+products under that name.
 """
 
 from __future__ import annotations
@@ -98,6 +107,29 @@ def _check_tags(a: str, b: str) -> None:
         raise TagMismatch(f"cannot mix variables {a!r} and {b!r}")
 
 
+def _int_form(coeffs) -> tuple:
+    """Integers and fractions as (integer numerators, common denominator).
+
+    The denominator is the lcm of theirs, so the numerators n * denom / d of
+    the c = n/d share no factor with it.
+    """
+    cs = [_fr(c) for c in coeffs]
+    denom = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (denom // c.denominator) for c in cs], denom
+
+
+def _convolve(a, b, n: int) -> list:
+    """The integer coefficients through degree n of the product of two
+    integer coefficient sequences, lowest degree first.  Zeros of a, the
+    outer loop, are skipped."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i], i):
+                out[j] += x * y
+    return out
+
+
 class UniPoly:
     """Dense univariate polynomial over QQ with a variable tag.
 
@@ -113,14 +145,11 @@ class UniPoly:
     __slots__ = ("var", "ints", "denom")
 
     def __init__(self, var: str, coeffs):
-        cs = [_fr(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        # With denom the lcm of the denominators, the numerators n * denom / d
-        # of the c = n/d already share no factor with it.
-        denom = lcm(*(c.denominator for c in cs)) if cs else 1
+        ints, denom = _int_form(coeffs)
+        while ints and not ints[-1]:
+            ints.pop()
         self.var = var
-        self.ints = tuple(c.numerator * (denom // c.denominator) for c in cs)
+        self.ints = tuple(ints)
         self.denom = denom
 
     @classmethod
@@ -242,11 +271,7 @@ class UniPoly:
             return UniPoly.zero(self.var)
         if len(a) < len(b):
             a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(b):
-            if x:
-                for j, y in enumerate(a, i):
-                    out[j] += x * y
+        out = _convolve(b, a, len(a) + len(b) - 2)
         return UniPoly._from_ints(self.var, out, self.denom * other.denom)
 
     __rmul__ = __mul__
@@ -495,6 +520,8 @@ class RatFunc:
         return self.var == other.var and self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.is_const():
+            return hash(self.num.coefficient(0))  # equal to that rational
         return hash((self.num, self.den))
 
     def __neg__(self):
@@ -703,7 +730,14 @@ class SparsePoly:
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # An element equal to a scalar (no term but the constant one) hashes
+        # as that scalar does, so that == and hash agree.
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and self._one_key in terms:
+            return hash(terms[self._one_key])
+        return hash(frozenset(terms.items()))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
@@ -783,25 +817,52 @@ class SparsePolyRing(Ring):
 class TruncSeries:
     """Truncated power series in hbar over a declared coefficient ring.
 
-    A value of order N represents an element of R[[hbar]]/(hbar^(N+1)); the
-    coefficient tuple always has length N+1.  Binary operations between
-    series of different orders truncate to the smaller order, which is the
-    only sound option once high coefficients have been discarded.
+    A value of order N represents an element of R[[hbar]]/(hbar^(N+1)); it
+    always has N+1 coefficients.  Binary operations between series of
+    different orders truncate to the smaller order, which is the only sound
+    option once high coefficients have been discarded; series over two
+    different rings do not combine (TagMismatch).
+
+    The ring alone chooses the storage.  Over QQ, ``_data`` holds integer
+    numerators over one positive denominator ``denom`` that shares no
+    factor with all of them, the form UniPoly has, so products are integer
+    convolutions and sums integer loops, each reduced once.  Over any other
+    ring ``denom`` is None and ``_data`` holds the coefficients themselves.
+    ``coeffs`` is the coefficient tuple either way (Fractions over QQ, rebuilt
+    on each read); ``coefficient(k)`` reads one of them.
     """
 
-    __slots__ = ("ring", "order", "coeffs")
+    __slots__ = ("ring", "order", "denom", "_data")
 
     def __init__(self, ring, order: int, coeffs):
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        cs = list(coeffs)
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        while len(cs) < order + 1:
-            cs.append(ring.zero)
+        cs = list(coeffs)[: order + 1]
         self.ring = ring
         self.order = order
-        self.coeffs = tuple(cs)
+        if ring is QQ:
+            cs, self.denom = _int_form(cs)
+            cs.extend([0] * (order + 1 - len(cs)))
+        else:
+            cs.extend([ring.zero] * (order + 1 - len(cs)))
+            self.denom = None
+        self._data = tuple(cs)
+
+    @staticmethod
+    def _from_ints(order: int, ints: list, denom: int) -> "TruncSeries":
+        """Trusted constructor of a series over QQ: order + 1 integer
+        numerators over a positive denominator, reduced here."""
+        if denom != 1:
+            g = gcd(denom, *ints)
+            if g != 1:
+                ints = [c // g for c in ints]
+                denom //= g
+        s = object.__new__(TruncSeries)
+        s.ring = QQ
+        s.order = order
+        s.denom = denom
+        s._data = tuple(ints)
+        return s
 
     @classmethod
     def const(cls, ring, order: int, value) -> "TruncSeries":
@@ -819,20 +880,29 @@ class TruncSeries:
     def hbar(cls, ring, order: int) -> "TruncSeries":
         return cls(ring, order, [ring.zero, ring.one])
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients from hbar^0 to hbar^order."""
+        if self.denom is None:
+            return self._data
+        return tuple(Fraction(c, self.denom) for c in self._data)
+
     def coefficient(self, k: int):
         if 0 <= k <= self.order:
-            return self.coeffs[k]
+            if self.denom is None:
+                return self._data[k]
+            return Fraction(self._data[k], self.denom)
         raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._data)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._data)
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None if all vanish."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._data):
             if c:
                 return i
         return None
@@ -844,6 +914,8 @@ class TruncSeries:
 
     def _coerce(self, other) -> "TruncSeries":
         if isinstance(other, TruncSeries):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise TagMismatch(f"cannot mix series over {self.ring!r} and {other.ring!r}")
             return other
         return TruncSeries.const(self.ring, self.order, self.ring.from_rational(other))
 
@@ -853,30 +925,46 @@ class TruncSeries:
         return (
             self.ring == other.ring
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self.denom == other.denom
+            and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        # A constant series hashes as its constant term, so that a constant
+        # element of an algebra over series, which equals its scalar and
+        # hashes as its coefficient, hashes as that scalar too.
+        if not any(self._data[1:]):
+            return hash(self.coefficient(0))
+        return hash((self.order, self.denom, self._data))
 
     def __neg__(self):
-        return TruncSeries(self.ring, self.order, [-c for c in self.coeffs])
+        if self.denom is None:
+            return TruncSeries(self.ring, self.order, [-c for c in self._data])
+        return TruncSeries._from_ints(self.order, [-c for c in self._data], self.denom)
+
+    def _plus(self, other, sign: int) -> "TruncSeries":
+        """self + sign * other for sign 1 or -1, to the smaller order."""
+        n = min(self.order, other.order)
+        a, b = self._data, other._data
+        if self.denom is None:
+            return TruncSeries(self.ring, n, [x + y for x, y in zip(a, b)] if sign > 0
+                               else [x - y for x, y in zip(a, b)])
+        da, db = self.denom, other.denom
+        d = da if da == db else lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        return TruncSeries._from_ints(n, [x * fa + y * fb for x, y in zip(a, b)], d)
 
     def __add__(self, other):
         if not isinstance(other, (TruncSeries, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
-        n = min(self.order, other.order)
-        return TruncSeries(
-            self.ring, n, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
-        )
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, (TruncSeries, int, Fraction)):
             return NotImplemented
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -886,21 +974,31 @@ class TruncSeries:
             return NotImplemented
         other = self._coerce(other)
         n = min(self.order, other.order)
+        a, b = self._data, other._data
+        if self.denom is not None:
+            if a.count(0) < b.count(0):
+                a, b = b, a  # the sparser operand drives the outer loop
+            return TruncSeries._from_ints(n, _convolve(a, b, n), self.denom * other.denom)
         out = [self.ring.zero for _ in range(n + 1)]
         for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
+            x = a[i]
+            if not x:
                 continue
             for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+                y = b[j]
+                if y:
+                    out[i + j] = out[i + j] + x * y
         return TruncSeries(self.ring, n, out)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "TruncSeries":
-        return TruncSeries(self.ring, self.order, [scalar * c for c in self.coeffs])
+        if self.denom is None:
+            return TruncSeries(self.ring, self.order, [scalar * c for c in self._data])
+        scalar = _fr(scalar)
+        return TruncSeries._from_ints(
+            self.order, [c * scalar.numerator for c in self._data],
+            self.denom * scalar.denominator)
 
     def map_coeffs(self, fn, ring=None) -> "TruncSeries":
         return TruncSeries(ring or self.ring, self.order, [fn(c) for c in self.coeffs])
@@ -956,9 +1054,24 @@ def _quotient(a, b, ring, n: int) -> TruncSeries:
     a and b list coefficients from hbar^0 on; missing ones are zero.  The
     triangular recurrence q_k = b_0^(-1) (a_k - sum_(i>=1) q_(k-i) b_i)
     needs b_0 to be a unit of ring, and ring.inv raises
-    NonInvertibleLeadingCoefficient when it is not.
+    NonInvertibleLeadingCoefficient when it is not.  Over QQ it runs on
+    integers: with a = A/da and b = B/db, q_k = db P_k / (da B_0^(k+1)) for
+    the integers P_k = A_k B_0^k - sum_(i>=1) P_(k-i) B_i B_0^(i-1).
     """
     b0i = ring.inv(b[0])
+    if ring is QQ:
+        A, da = _int_form(a[: n + 1])
+        B, db = _int_form(b[: n + 1])
+        pw = [B[0] ** e for e in range(n + 2)]
+        P = []
+        for k in range(n + 1):
+            acc = A[k] * pw[k] if k < len(A) else 0
+            for i in range(1, min(k + 1, len(B))):
+                acc -= P[k - i] * B[i] * pw[i - 1]
+            P.append(acc)
+        s = -1 if B[0] < 0 and n % 2 == 0 else 1  # the sign of B_0^(n+1)
+        return TruncSeries._from_ints(
+            n, [s * db * p * pw[n - k] for k, p in enumerate(P)], s * da * pw[n + 1])
     out = []
     for k in range(n + 1):
         acc = a[k] if k < len(a) else ring.zero

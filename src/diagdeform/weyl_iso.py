@@ -74,7 +74,7 @@ def _hbar_slice(p: PseudoPoly, r: int, target: QWeyl) -> PseudoPoly:
     """The hbar^r layer of a pseudopolynomial with truncated-series scalars."""
     terms = {}
     for key, series in p.terms.items():
-        c = series.coeffs[r]
+        c = series.coefficient(r)
         if c:
             terms[key] = c
     return PseudoPoly(target, terms)
@@ -304,7 +304,7 @@ def gz_element(order: int) -> dict:
     Wc = QWeyl(sring, sring.one)
     packed = {}
     for r in range(check_order + 1):
-        for key, v in y_h.coeffs[r].terms.items():
+        for key, v in y_h.coefficient(r).terms.items():
             packed.setdefault(key, [Fraction(0)] * (check_order + 1))[r] = v
     y_packed = PseudoPoly(Wc, {k: TruncSeries(QQ, check_order, vec) for k, vec in packed.items()})
     lhs = (Wc.x * y_packed).scale(exp_hbar(check_order)) - y_packed * Wc.x

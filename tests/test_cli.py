@@ -189,6 +189,25 @@ def test_closed_stdout_exits_0_without_traceback(argv, unbuffered):
     assert err == b""
 
 
+ACCEPTANCE_1729 = "1b05dfa72a53f9d5887309e95d9c168db6f9072cb2dbf52b9dd04eadaaac9477"
+
+
+def test_acceptance_bytes_agree_across_fresh_processes():
+    """String hashing is salted per process by PYTHONHASHSEED; no report
+    byte may depend on it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for hashseed in ("0", "7"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hashseed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagdeform.cli", "acceptance", "--seed", "1729", "--json"],
+            capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == b""
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == ACCEPTANCE_1729
+
+
 # SHA-256 of the exact `--json` stdout, recorded before the scalar layer was
 # moved onto integer numerators; any change to a reported byte shows here.
 PINNED_REPORTS = [

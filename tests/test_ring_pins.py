@@ -1,5 +1,7 @@
-"""Printed and JSON bytes of the coefficient-ring adapters and the three
-series divisions, pinned before the adapters became one Ring class.
+"""Printed and JSON bytes of the coefficient-ring adapters, the three
+series divisions and the q = 1 + hbar Weyl computations.  The adapter and
+division pins were recorded before the adapters became one Ring class, the
+Weyl pins before series over QQ moved to integer numerators.
 
 Each case is built from fixed seeds; its pin is the SHA-256 of str(value),
 a newline, and the JSON dump of cli._encode of its to_json() (the value
@@ -13,8 +15,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from diagdeform.acceptance import DEFAULT_SEED, _rng
 from diagdeform.cli import _encode
-from diagdeform.qweyl import classical
+from diagdeform.qweyl import classical, deformed
 from diagdeform.scalars import (
     LAMBDA,
     QQ,
@@ -29,7 +32,13 @@ from diagdeform.scalars import (
 )
 from diagdeform.sphere import P0, P1, PL, SPHERE, SphereElement
 from diagdeform.star import P2, Poly2
-from diagdeform.weyl_iso import closed_form_a
+from diagdeform.weyl_iso import (
+    closed_form_a,
+    gz_element,
+    recursion_report,
+    solve_z,
+    verify_closed_form,
+)
 
 
 def _bytes(v) -> str:
@@ -89,6 +98,26 @@ def _sphere_quotient(seed, den_ring):
     return series_div_valuation(num, den)
 
 
+def _oracle_words(seed=DEFAULT_SEED):
+    """The 100 deformed(6) words of the rewriting-oracle criterion."""
+    rng = _rng(seed, 101)
+    return ["".join(rng.choice("xy") for _ in range(rng.randint(0, 8))) for _ in range(100)]
+
+
+def _oracle_products(route):
+    W = deformed(6)
+    out = []
+    for word in _oracle_words():
+        if route == "normalize":
+            out.append(W.normalize([(1, word)]))
+            continue
+        p = W.one
+        for ch in word:
+            p = W.multiply(p, W.x if ch == "x" else W.y)
+        out.append(p)
+    return out
+
+
 ADAPTERS = ("QQ", "QQ(q)", "series", "P2", "SPHERE", "classical")
 
 
@@ -126,6 +155,12 @@ CASES = (
     + [(f"expand/{r}", lambda r=r: series_expand(closed_form_a(r), 8)) for r in range(1, 6)]
     + [(f"adapter/{name}/{what}", lambda name=name, what=what: _adapter(name, what))
        for name in ADAPTERS for what in ("repr", "zero", "one", "from_rational", "inv")]
+    + [("weyl/solve_z/12", lambda: solve_z(12))]
+    + [(f"weyl/closed_form/{r}", lambda r=r: verify_closed_form(r)) for r in range(8, 13)]
+    + [("weyl/gz_element/9", lambda: gz_element(9)),
+       ("weyl/recursion_report/3", lambda: recursion_report(3))]
+    + [(f"weyl/oracle/{route}", lambda route=route: _oracle_products(route))
+       for route in ("multiply", "normalize")]
 )
 
 PINS = {
@@ -185,6 +220,16 @@ PINS = {
     "adapter/classical/one": "d8d239680124ea9c79d5d8b420753b1d324dbf4d6592378cb849b60a6d20aee8",
     "adapter/classical/from_rational": "cf6d874bf3e043ac872e4819b62780b10abc4d71ec99129f57bf1a6bd3c4f983",
     "adapter/classical/inv": "375eca104d3dde0dd20a3c1d6051875c5aa0f6ccb393dca8c241b7b26e0b292b",
+    "weyl/solve_z/12": "d516efcc15eed4a273b51325bb8d67a8fc6c3995a5f3888d8ddec11b56001168",
+    "weyl/closed_form/8": "56bb050affb1c3115a50b9bd0847ca8ddf5e2623649880636defd593e6ee883a",
+    "weyl/closed_form/9": "21f0e28d0467db440d034fb6f34e04f4558a9663bca9dcf9ab93f490e651f6b8",
+    "weyl/closed_form/10": "08b5e71daa2c15545d4afff61879d5c54847499d7d4d90f26039936c62f88e7b",
+    "weyl/closed_form/11": "2f028f793368a017ee39d86d33a7163acdb43d6061382066925aa29187450498",
+    "weyl/closed_form/12": "fc8870e2c8978721b9bfb3c9869c730eef8665c2b94f1211e25a9fa8a7a57fdc",
+    "weyl/gz_element/9": "41583c9c3f581572dfcbb2cb1e8f576be2bed29e4b784e833a288bde4e282c26",
+    "weyl/recursion_report/3": "b520488bba14aa0d26520a427c1eb171b129da6c9203a518c634510c57efae81",
+    "weyl/oracle/multiply": "31e27873c01c35343033663e7b46b3913c84eddd415049b8bf4d63cc667c6101",
+    "weyl/oracle/normalize": "31e27873c01c35343033663e7b46b3913c84eddd415049b8bf4d63cc667c6101",
 }
 
 

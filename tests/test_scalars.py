@@ -154,6 +154,43 @@ def test_series_inverse_takes_the_smaller_order():
     assert SeriesRing(QQ, 2).inv(a) == TruncSeries(QQ, 2, [1, -1, 1])
 
 
+def test_series_over_two_rings_do_not_combine():
+    from diagdeform.star import P2
+
+    q = TruncSeries.one(QQ, 3)
+    p = TruncSeries.hbar(P2, 3)
+    lam = TruncSeries.one(RatFuncRing(LAMBDA), 3)
+    for a, b in ((q, p), (p, q), (q, lam), (lam, p)):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(TagMismatch):
+                op()
+        assert a != b
+    # one ring at two orders still truncates to the smaller order
+    assert (q + TruncSeries.hbar(QQ, 2)).coeffs == (1, 1, 0)
+    assert TruncSeries.one(RatFuncRing(LAMBDA), 2) * lam == TruncSeries.one(RatFuncRing(LAMBDA), 2)
+
+
+def test_series_over_qq_keep_their_reported_form():
+    """Series over QQ run on integer numerators; every reader still sees
+    Fractions, and equal series hash alike whichever way they were built."""
+    a = TruncSeries(QQ, 3, [2, Fraction(1, 2), Fraction(-1, 3)])
+    assert a.coeffs == (2, Fraction(1, 2), Fraction(-1, 3), 0)
+    assert all(type(c) is Fraction for c in a.coeffs)
+    assert [a.coefficient(k) for k in range(4)] == list(a.coeffs)
+    assert str(a) == "2 + (1/2)*hbar + (-1/3)*hbar^2 + O(hbar^4)"
+    assert a.to_json() == {"order": 3, "coefficients": ["2", "1/2", "-1/3", "0"]}
+    assert (a - a).coeffs == (0, 0, 0, 0) and not (a - a) and (a - a).valuation() is None
+    assert a.scale(Fraction(6, 5)) == TruncSeries(QQ, 3, [Fraction(12, 5), Fraction(3, 5),
+                                                          Fraction(-2, 5)])
+    assert a.truncate(1) == TruncSeries(QQ, 1, [2, Fraction(1, 2)])
+    b = TruncSeries(QQ, 3, [Fraction(1, 3), 0, 0, 3])
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert a + b - b == a and hash(a + b - b) == hash(a)
+    # a constant series hashes as its constant term
+    assert hash(TruncSeries.const(QQ, 4, Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(TruncSeries.zero(QQ, 2)) == hash(0)
+
+
 def test_series_expand_refuses_other_variables():
     for var in (LAMBDA, QVAR):
         with pytest.raises(TagMismatch):

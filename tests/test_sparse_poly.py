@@ -229,6 +229,33 @@ def test_scalars_coerce_to_constants_in_every_sparse_algebra():
         W.coerce("1/2")
 
 
+def test_constants_hash_as_the_scalars_they_equal():
+    lam, q = RatFunc.gen(LAMBDA), RatFunc.gen(QVAR)
+    S, D, W = symbolic(), deformed(3), classical()
+    pairs = [
+        (Poly2.const(3), 3),
+        (Poly2.zero(), 0),
+        (MultiPoly.const(F(1, 2)), F(1, 2)),
+        (W.coerce(-2), -2),
+        (SphereElement.const(lam), lam),
+        (SphereElement.const(3), 3),
+        (SphereElement.zero(), 0),
+        (S.coerce(q), q),
+        (S.coerce(5), 5),
+        (D.coerce(5), 5),
+        (D.coerce(5), TruncSeries.const(QQ, 3, 5)),
+        (D.coerce(D.q), D.q),
+        (D.zero, 0),
+    ]
+    for element, scalar in pairs:
+        assert element == scalar and hash(element) == hash(scalar), (element, scalar)
+        assert len({element, scalar}) == 1, (element, scalar)
+        table = {element: "element"}
+        table[scalar] = "scalar"
+        assert table == {element: "scalar"}, (element, scalar)
+    assert len({Poly2.x(), Poly2.x() + 0, Poly2.const(1), 1}) == 2
+
+
 def test_sphere_functions_coerce_scalars_to_constants():
     lam = RatFunc.gen(LAMBDA)
     x = SphereElement.x_power(1)
