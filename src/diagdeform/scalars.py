@@ -450,7 +450,16 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 class RatFunc:
-    """Quotient of tagged polynomials in lowest terms with monic denominator."""
+    """Quotient of tagged polynomials in lowest terms with monic denominator.
+
+    ``RatFunc(num, den)`` is the one validating entry: it reduces by
+    ``poly_gcd(num, den)`` and makes the denominator monic.  Arithmetic
+    keeps that canonical form without a gcd of its unreduced result.  It
+    reduces only by gcds of parts already known to be coprime (Henrici,
+    JACM 3, 1956; Knuth, TAOCP vol. 2, section 4.5.1): ``+`` by the gcd of
+    the denominators and ``*`` by cross-cancelling each numerator against
+    the other denominator.  Unary minus, ``**`` and ``inverse`` run no gcd.
+    """
 
     __slots__ = ("num", "den")
 
@@ -474,12 +483,21 @@ class RatFunc:
         self.den = den
 
     @classmethod
+    def _make(cls, num: UniPoly, den: UniPoly) -> "RatFunc":
+        """Trusted constructor for arithmetic results: num and den already
+        coprime, den monic, and den == 1 when num is zero."""
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
+
+    @classmethod
     def from_poly(cls, p: UniPoly) -> "RatFunc":
-        return cls(p, UniPoly.one(p.var))
+        return cls._make(p, UniPoly.one(p.var))
 
     @classmethod
     def const(cls, var: str, value) -> "RatFunc":
-        return cls(UniPoly.const(var, value), UniPoly.one(var))
+        return cls.from_poly(UniPoly.const(var, value))
 
     @classmethod
     def zero(cls, var: str) -> "RatFunc":
@@ -491,7 +509,7 @@ class RatFunc:
 
     @classmethod
     def gen(cls, var: str) -> "RatFunc":
-        return cls(UniPoly.gen(var), UniPoly.one(var))
+        return cls.from_poly(UniPoly.gen(var))
 
     @property
     def var(self) -> str:
@@ -525,14 +543,43 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._make(-self.num, self.den)
 
     def __add__(self, other):
         if not isinstance(other, (RatFunc, UniPoly, int, Fraction)):
             return NotImplemented
         other = as_ratfunc(other, self.var)
         _check_tags(self.var, other.var)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not c.ints:
+            return self
+        if not a.ints:
+            return other
+        if b == d:
+            t = a + c
+            if not t.ints:
+                return RatFunc.from_poly(t)
+            if len(b.ints) > 1:
+                g = poly_gcd(t, b)
+                if g.degree > 0:
+                    t, b = t // g, b // g
+            return RatFunc._make(t, b)
+        # a constant monic denominator is 1
+        if len(b.ints) == 1:
+            return RatFunc._make(a * d + c, d)
+        if len(d.ints) == 1:
+            return RatFunc._make(a + c * b, b)
+        g = poly_gcd(b, d)
+        if g.degree == 0:
+            return RatFunc._make(a * d + c * b, b * d)
+        # Henrici: t is coprime to b/g and d/g, so only gcd(t, g) can
+        # cancel; t != 0, as a reduced a/b == -c/d would have b == d
+        b1 = b // g
+        t = a * (d // g) + c * b1
+        g2 = poly_gcd(t, g)
+        if g2.degree > 0:
+            t, d = t // g2, d // g2
+        return RatFunc._make(t, b1 * d)
 
     __radd__ = __add__
 
@@ -549,7 +596,26 @@ class RatFunc:
             return NotImplemented
         other = as_ratfunc(other, self.var)
         _check_tags(self.var, other.var)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.ints:
+            return self
+        if not c.ints:
+            return other
+        # cross-cancel: a/b and c/d are reduced, so only gcd(a, d) and
+        # gcd(c, b) can cancel from (a c) / (b d)
+        if len(a.ints) > 1 and len(d.ints) > 1:
+            g = poly_gcd(a, d)
+            if g.degree > 0:
+                a, d = a // g, d // g
+        if len(c.ints) > 1 and len(b.ints) > 1:
+            g = poly_gcd(c, b)
+            if g.degree > 0:
+                c, b = c // g, b // g
+        if len(b.ints) == 1:  # b == 1
+            return RatFunc._make(a * c, d)
+        if len(d.ints) == 1:
+            return RatFunc._make(a * c, b)
+        return RatFunc._make(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -565,12 +631,14 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+        return RatFunc._make(self.num ** n, self.den ** n)
 
     def inverse(self) -> "RatFunc":
-        if self.is_zero():
+        num = self.num
+        if not num.ints:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(self.den, self.num)
+        # divide both by the leading coefficient lead / num.denom of num
+        return RatFunc._make(self.den._times(num.denom, num.ints[-1]), num.monic())
 
     def evaluate(self, value) -> Fraction:
         value = _fr(value)

@@ -159,7 +159,8 @@ def verify_closed_form(order: int) -> dict:
     """
     etas = solve_z(order)
     W1 = etas[0].algebra
-    expansions = [series_expand(closed_form_a(r), order) for r in range(1, order + 1)]
+    forms = [closed_form_a(r) for r in range(order + 1)]
+    expansions = [series_expand(forms[r], order) for r in range(1, order + 1)]
     mismatched = []
     for s in range(1, order + 1):
         terms = {}
@@ -171,11 +172,13 @@ def verify_closed_form(order: int) -> dict:
             mismatched.append(s)
 
     q = RatFunc.from_poly(UniPoly(HBAR, [1, 1]))
+    qpow = qint = RatFunc.one(HBAR)  # q^s and [s+1]_q = 1 + q + ... + q^s
     recurrence_failures = []
     for s in range(1, order + 1):
-        qint = sum((q ** i for i in range(1, s + 1)), RatFunc.one(HBAR))
-        lhs = closed_form_a(s) * qint
-        rhs = closed_form_a(s - 1) * (q ** s - 1)
+        qpow = qpow * q
+        qint = qint + qpow
+        lhs = forms[s] * qint
+        rhs = forms[s - 1] * (qpow - 1)
         if lhs != rhs:
             recurrence_failures.append(s)
 

@@ -1,7 +1,9 @@
 """Printed and JSON bytes of the coefficient-ring adapters, the three
-series divisions and the q = 1 + hbar Weyl computations.  The adapter and
-division pins were recorded before the adapters became one Ring class, the
-Weyl pins before series over QQ moved to integer numerators.
+series divisions, the q = 1 + hbar Weyl computations and the QQ(q) and
+QQ(lambda) computations.  The adapter and division pins were recorded before
+the adapters became one Ring class, the Weyl pins before series over QQ moved
+to integer numerators, and the QQ(q) and QQ(lambda) pins before rational
+function arithmetic reduced by the gcds of the denominators.
 
 Each case is built from fixed seeds; its pin is the SHA-256 of str(value),
 a newline, and the JSON dump of cli._encode of its to_json() (the value
@@ -17,7 +19,15 @@ import pytest
 
 from diagdeform.acceptance import DEFAULT_SEED, _rng
 from diagdeform.cli import _encode
-from diagdeform.qweyl import classical, deformed
+from diagdeform.groebner import buchberger, exceptional_values, sphere_ideal
+from diagdeform.qweyl import (
+    classical,
+    commutator_divisibility,
+    deformed,
+    pochhammer_xy,
+    stirling_first,
+    stirling_second,
+)
 from diagdeform.scalars import (
     LAMBDA,
     QQ,
@@ -118,6 +128,13 @@ def _oracle_products(route):
     return out
 
 
+def _sphere_run(field):
+    run = buchberger(sphere_ideal())
+    if field == "exceptional_values":
+        return exceptional_values(run)
+    return getattr(run, field)
+
+
 ADAPTERS = ("QQ", "QQ(q)", "series", "P2", "SPHERE", "classical")
 
 
@@ -161,6 +178,12 @@ CASES = (
        ("weyl/recursion_report/3", lambda: recursion_report(3))]
     + [(f"weyl/oracle/{route}", lambda route=route: _oracle_products(route))
        for route in ("multiply", "normalize")]
+    + [("qweyl/stirling_first/7", lambda: stirling_first(7)),
+       ("qweyl/stirling_second/7", lambda: stirling_second(7)),
+       ("qweyl/commutator_divisibility/12", lambda: commutator_divisibility(12)),
+       ("qweyl/pochhammer_xy/10", lambda: pochhammer_xy(10))]
+    + [(f"groebner/sphere/{field}", lambda field=field: _sphere_run(field))
+       for field in ("basis", "pre_monic_leads", "pivot_log", "exceptional_values")]
 )
 
 PINS = {
@@ -230,6 +253,14 @@ PINS = {
     "weyl/recursion_report/3": "b520488bba14aa0d26520a427c1eb171b129da6c9203a518c634510c57efae81",
     "weyl/oracle/multiply": "31e27873c01c35343033663e7b46b3913c84eddd415049b8bf4d63cc667c6101",
     "weyl/oracle/normalize": "31e27873c01c35343033663e7b46b3913c84eddd415049b8bf4d63cc667c6101",
+    "qweyl/stirling_first/7": "91827c93d1132f388d170b94ad0fce6fd2a4636752470f0c4cc06f7d56c06378",
+    "qweyl/stirling_second/7": "84322b18fc18d5329fb988392084c414693c370cd2527fc3dfa53f33c08d344a",
+    "qweyl/commutator_divisibility/12": "786df7e4df5623ca555113aa29d2cfd6b37f24dd17662057b720ada0d5480d2a",
+    "qweyl/pochhammer_xy/10": "17873b218471c94ecf7d748d0343815f0961a7bd6b42a2d47db42e26cf9852b1",
+    "groebner/sphere/basis": "e661a274f6adfe80a1bafc5f5b655a45ddf13e99cf3f1b87ae0eadff7efcfd0b",
+    "groebner/sphere/pre_monic_leads": "179e5a2cd177341ed920fc3c154d7cda730fc6781ddf97abd0d6c746f8ea1cb0",
+    "groebner/sphere/pivot_log": "bc2247ab4b274a401fcded5b94db3278341ba8f9bd9915a6162a2630c198c7a0",
+    "groebner/sphere/exceptional_values": "8accf86e491e0323d9853053471a2973eeef36e06459ed217dc86697b13deb70",
 }
 
 

@@ -6,10 +6,10 @@ from math import gcd
 
 import pytest
 
-from diagdeform.scalars import QVAR, RatFunc, UniPoly
+from diagdeform.scalars import QVAR, RatFunc, UniPoly, poly_gcd
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -79,3 +79,89 @@ def test_ratfunc_field_axioms(a, b, c):
         assert f.den.leading() == 1
         assert_canonical(f.num)
         assert_canonical(f.den)
+
+
+# Rational functions whose numerators and denominators are products from a
+# small pool of factors, so that two of them often have equal, coprime,
+# partly shared or constant denominators, and sums and products cancel.
+_q = UniPoly.gen(QVAR)
+FACTORS = (_q, _q - 1, _q + 1, _q * _q + _q + 1, 2 * _q + 3)
+factor_lists = st.lists(st.sampled_from(range(len(FACTORS))), max_size=3)
+
+
+def _product(c, idx, extra=None):
+    p = UniPoly.const(QVAR, c)
+    for i in idx:
+        p = p * FACTORS[i]
+    return p if extra is None else p * extra
+
+
+# (constant, numerator factors, numerator cofactor, denominator constant,
+# denominator factors)
+raw_parts = st.tuples(rationals, factor_lists, st.one_of(st.none(), polys(1).filter(bool)),
+                      nonzero_rationals, factor_lists)
+
+
+def _from_parts(parts):
+    c, num, extra, d, den = parts
+    return RatFunc(_product(c, num, extra), _product(d, den))
+
+
+def _pair(b_choice, parts):
+    """a from parts and b by kind: from other parts, over a's raw
+    denominator, -a, s - a for an s over part of a's denominator (so the sum
+    cancels to s), or p / a (so the product cancels to p).  Differences and
+    quotients go through the validating constructor only."""
+    c, num, extra, d, den = parts
+    kind, other = b_choice
+    a = _from_parts(parts)
+    if kind == "negated":
+        return a, _from_parts((-c, num, extra, d, den))
+    if kind == "same_den":
+        return a, _from_parts(other[:3] + (d, den))
+    if kind == "sum_to":
+        s = _from_parts(other[:3] + (d, den[1:]))
+        return a, RatFunc(s.num * a.den - a.num * s.den, s.den * a.den)
+    if kind == "product_to" and a:
+        p = _from_parts(other)
+        return a, RatFunc(p.num * a.den, p.den * a.num)
+    return a, _from_parts(other)
+
+
+KINDS = ("independent", "same_den", "negated", "sum_to", "product_to")
+pooled_pairs = st.builds(_pair, st.tuples(st.sampled_from(KINDS), raw_parts), raw_parts)
+
+
+def assert_reduced_and_equal(got, expect):
+    assert (got.num, got.den) == (expect.num, expect.den)
+    assert poly_gcd(got.num, got.den) == UniPoly.one(QVAR)
+    assert got.den.leading() == 1
+
+
+_one = UniPoly.one(QVAR)
+_a = RatFunc(_one, _q * (_q - 1))
+_b = RatFunc(_one, _q * (_q + 1))
+_c = RatFunc(_q * (_q - 1), _one)
+
+
+@PROPERTY
+@given(pooled_pairs, st.integers(-3, 3))
+@example((_a, _b), 2)              # shared q, sum 2q / (q (q-1) q (q+1)) cancels q
+@example((_a, _c), -1)             # each numerator cancels the other denominator
+def test_ratfunc_arithmetic_matches_schoolbook_formulas(pair, n):
+    """Every operation equals the validating constructor applied to the
+    unreduced schoolbook result, field by field, in lowest terms with a
+    monic denominator."""
+    a, b = pair
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    assert_reduced_and_equal(a + b, RatFunc(an * bd + bn * ad, ad * bd))
+    assert_reduced_and_equal(a - b, RatFunc(an * bd - bn * ad, ad * bd))
+    assert_reduced_and_equal(a * b, RatFunc(an * bn, ad * bd))
+    assert_reduced_and_equal(-a, RatFunc(-an, ad))
+    if not b.is_zero():
+        assert_reduced_and_equal(a / b, RatFunc(an * bd, ad * bn))
+        assert_reduced_and_equal(b.inverse(), RatFunc(bd, bn))
+    if n >= 0:
+        assert_reduced_and_equal(a ** n, RatFunc(an ** n, ad ** n))
+    elif not a.is_zero():
+        assert_reduced_and_equal(a ** n, RatFunc(ad ** -n, an ** -n))
