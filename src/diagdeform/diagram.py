@@ -1,5 +1,5 @@
-"""Diagrams of algebras over small categories, at a scale where everything
-is checkable by exhaustive evaluation.
+"""Diagrams of algebras over small categories, with the total coboundary as
+an exact sparse integer matrix.
 
 A diagram here is a contravariant functor from a finite category to
 finite-dimensional algebras with explicit structure constants.  The module
@@ -11,9 +11,14 @@ diagram cochains
 
 where the simplicial part twists the 0-th face by the module map T and the
 last face by the algebra map phi on arguments, exactly as the bicomplex
-requires.  Cochains are stored extensionally, as tables of values on basis
-tuples; that is only viable for toy algebras, which is the point: the
-machinery is exercised where delta^2 = 0 can be checked on the nose.
+requires.  Cochains are stored as tables of values on basis tuples.  The
+coboundary of degree n is linear and depends on the diagram alone, so
+coboundary_matrix builds it once per diagram and degree, as integer rows
+over one denominator read off the structure constants, the maps and the
+faces, and total_coboundary is one application of that matrix.  The
+multilinear expansions of single_morphism_coboundary and
+hochschild_coboundary compute the same values a second way and serve as
+its oracle; delta^2 = 0 is checked on the nose.
 
 For a diagram with a single morphism phi: B -> A the complex collapses to
 triples (Gamma^B, Gamma^A, Gamma^phi) with coboundary
@@ -34,6 +39,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .linalg import rref
 from .scalars import _fr
@@ -50,6 +57,9 @@ __all__ = [
     "check_algebra_map",
     "DiagramOfAlgebras",
     "DiagramCochain",
+    "OutsideBasis",
+    "CoboundaryMatrix",
+    "coboundary_matrix",
     "total_coboundary",
     "single_morphism_coboundary",
     "diagram_algebra",
@@ -70,7 +80,14 @@ class TypeMismatch(ValueError):
     """Linear maps with incompatible shapes were combined."""
 
 
+class OutsideBasis(ValueError):
+    """A cochain component sits on a key that is not a non-degenerate
+    simplex, or on an argument tuple outside the basis of its algebra."""
+
+
 # ----------------------------------------------------------- linear algebra
+
+_ZERO = Fraction(0)
 
 
 def _zeros(n):
@@ -461,6 +478,9 @@ class DiagramOfAlgebras:
     For f: a -> b the matrix maps(f) represents A(f): A(b) -> A(a); the
     constructor checks functoriality A(g . f) = A(f) A(g), identity maps,
     and that every matrix is a unit-preserving algebra map.
+
+    A diagram must not be mutated after construction: coboundary_matrix
+    caches its coboundary matrices on it, one per degree.
     """
 
     def __init__(self, category: SmallCategory, algebras, maps):
@@ -487,6 +507,7 @@ class DiagramOfAlgebras:
                 gf = category.compose(g, f)
                 if not _mat_eq(self.maps[gf], _mat_mul(self.maps[f], self.maps[g])):
                     raise InvalidMorphism(f"contravariance fails on {g} . {f}")
+        self._coboundary_matrices = {}
 
     @classmethod
     def constant(cls, category: SmallCategory) -> "DiagramOfAlgebras":
@@ -541,6 +562,8 @@ class DiagramCochain:
             p = degree - q
             if p < 0:
                 raise ArityMismatch(f"component on {key!r} exceeds total degree {degree}")
+            _check_simplex(diagram.category, key)
+            dim_in = diagram.algebra_at(key, "cod").dim
             dim_out = diagram.algebra_at(key, "dom").dim
             clean = _normalize_table(table)
             for args, vec in clean.items():
@@ -550,8 +573,24 @@ class DiagramCochain:
                     )
                 if len(vec) != dim_out:
                     raise ArityMismatch(f"value on {key!r} has wrong dimension")
+            if p and clean and (min(map(min, clean)) < 0 or max(map(max, clean)) >= dim_in):
+                args = next(a for a in clean if min(a) < 0 or max(a) >= dim_in)
+                raise OutsideBasis(
+                    f"component on {key!r}: argument tuple {args!r} is outside "
+                    f"the basis 0..{dim_in - 1}"
+                )
             if clean:
                 self.components[key] = clean
+
+    @classmethod
+    def _trusted(cls, diagram, degree, components):
+        """Trusted constructor: components already hold only nonzero values
+        on basis tuples of non-degenerate simplices."""
+        c = object.__new__(cls)
+        c.diagram = diagram
+        c.degree = degree
+        c.components = components
+        return c
 
     def component(self, key):
         return self.components.get(key, {})
@@ -585,7 +624,19 @@ class DiagramCochain:
                         table[args] = vec
                 if table:
                     components[key] = table
-        return cls(diagram, degree, components)
+        return cls._trusted(diagram, degree, components)
+
+
+def _check_simplex(cat: SmallCategory, key):
+    """Raise OutsideBasis unless key is an object or a composable string of
+    non-identity morphisms, the simplices of the nerve."""
+    if isinstance(key, tuple):
+        ok = bool(key) and all(f in cat.morphisms and not cat.is_identity(f) for f in key)
+        ok = ok and all(cat.cod(f) == cat.dom(g) for f, g in zip(key, key[1:]))
+    else:
+        ok = key in cat.objects
+    if not ok:
+        raise OutsideBasis(f"component on {key!r}: not a non-degenerate simplex")
 
 
 def _index_tuples(dim: int, arity: int):
@@ -614,10 +665,43 @@ def _hochschild(dst: ToyAlgebra, src: ToyAlgebra, rho, evaluate, p: int, args):
     return out
 
 
-def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
-    """The bicomplex coboundary, one total degree up.
+class CoboundaryMatrix:
+    """The degree-n total coboundary of one diagram as a sparse integer matrix.
 
-    On a q-simplex sigma with p = n + 1 - q arguments:
+    Column j stands for the coordinate basis[j] = (simplex, args, m) of a
+    degree-n cochain: coordinate m of its value on the basis tuple args;
+    columns[simplex][args] is the column of coordinate 0.  Each row is a
+    pair (cols, coefs) of integer numerators over the one positive
+    denominator.  The rows are the coordinates of the degree-(n + 1)
+    coboundary in simplex, argument-tuple and coordinate order: blocks
+    lists (simplex, dim, [(args, first row)]) for every value that can be
+    nonzero, and a value takes dim consecutive rows.
+    """
+
+    def __init__(self, basis, columns, rows, blocks, denominator):
+        self.basis = basis
+        self.columns = columns
+        self.rows = rows
+        self.blocks = blocks
+        self.denominator = denominator
+
+
+def coboundary_matrix(D: DiagramOfAlgebras, n: int) -> CoboundaryMatrix:
+    """The degree-n total coboundary of D, built on first use and cached on D."""
+    M = D._coboundary_matrices.get(n)
+    if M is None:
+        M = D._coboundary_matrices[n] = _build_coboundary_matrix(D, n)
+    return M
+
+
+def _scaled(M, scale):
+    """scale * M as integers; every denominator of M must divide scale."""
+    return [[c.numerator * scale // c.denominator for c in row] for row in M]
+
+
+def _build_coboundary_matrix(D: DiagramOfAlgebras, n: int) -> CoboundaryMatrix:
+    """The rows of the coboundary, read off the structure constants, the maps
+    and the faces: on a q-simplex sigma with p = n + 1 - q arguments,
 
         (delta Gamma)^sigma = T . Gamma^{d_0 sigma}
                               + sum_{0<r<q} (-1)^r Gamma^{d_r sigma}
@@ -625,83 +709,170 @@ def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
                               + (-1)^q delta_Hoch(Gamma^sigma)
 
     with T the module map of the first morphism, phi the algebra map of the
-    last, and degenerate middle faces dropped.
+    last, the Hochschild bimodule structure pushed along the transport rho,
+    and degenerate middle faces dropped.  Every structure constant and map
+    entry is put over one denominator delta; a term that is a product of d
+    of them is scaled by delta^(n + 1 - d), so every entry is an integer
+    over delta^(n + 1), reduced once at the end.
+    """
+    cat = D.category
+    top = n + 1
+    data = nerve(cat, top)
+    delta = lcm(*[c.denominator for A in D.algebras.values()
+                  for row in A.table for vec in row for c in vec],
+                *[c.denominator for M in D.maps.values() for row in M for c in row])
+    w = [delta ** (top - d) for d in range(top + 1)]
+    maps = {f: _scaled(M, delta) for f, M in D.maps.items()}
+    products = {}  # per object: products[i][j] = nonzero (k, c) of e_i e_j
+    for obj, A in D.algebras.items():
+        products[obj] = [[[(k, c) for k, c in enumerate(vec) if c]
+                          for vec in _scaled(row, delta)] for row in A.table]
 
-    Arguments are basis tuples, so every term except the phi-moved last
-    face is a table lookup: T and rho act through their columns, and the
-    middle Hochschild terms expand only the one slot holding a structure
-    constant.  single_morphism_coboundary computes the same values by
-    multilinear expansion and serves as the oracle for this function.
+    basis, columns = [], {}
+    for q in range(top):
+        for key in data.simplices[q]:
+            dim = D.algebra_at(key, "dom").dim
+            cols = columns[key] = {}
+            for args in _index_tuples(D.algebra_at(key, "cod").dim, n - q):
+                cols[args] = len(basis)
+                basis.extend((key, args, m) for m in range(dim))
+
+    rows, blocks = [], []
+    for q in range(top + 1):
+        p = top - q
+        for key in data.simplices[q]:
+            s_obj = cat.cod(key[-1]) if q else key
+            t_obj = cat.dom(key[0]) if q else key
+            s, t = D.algebras[s_obj].dim, D.algebras[t_obj].dim
+            faces = []
+            if q:
+                T = [(k, m, c * w[1]) for k, row in enumerate(maps[key[0]])
+                     for m, c in enumerate(row) if c]
+                phi = [[(j, c) for j, c in enumerate(col) if c]
+                       for col in zip(*maps[key[-1]])]
+                faces = [(r, columns[face]) for r, face in _faces(cat, key)]
+            own = columns.get(key)  # the degree-n component, absent when p == 0
+            if own is not None:
+                rho = _scaled(D.transport(key), delta ** q)
+                left, right = _actions(products[t_obj], rho, s, t, w[q + 1])
+                src = products[s_obj]
+            items = []
+            for idx in _index_tuples(s, p):
+                acc = [{} for _ in range(t)]
+                for r, cols in faces:
+                    sign = -1 if r % 2 else 1
+                    if r == 0:
+                        j = cols[idx]
+                        for k, m, c in T:
+                            _add(acc[k], j + m, c)
+                    elif r < q:
+                        j = cols[idx]
+                        for k in range(t):
+                            _add(acc[k], j + k, sign * w[0])
+                    else:
+                        moved = [((), sign * w[p])]
+                        for a in idx:
+                            moved = [(jt + (j,), c0 * c) for jt, c0 in moved for j, c in phi[a]]
+                        for jt, c in moved:
+                            j = cols[jt]
+                            for k in range(t):
+                                _add(acc[k], j + k, c)
+                if own is not None:
+                    sign = -1 if q % 2 else 1
+                    j = own[idx[1:]]
+                    for k, m, c in left[idx[0]]:
+                        _add(acc[k], j + m, sign * c)
+                    for i in range(1, p):
+                        sign = -1 if (q + i) % 2 else 1
+                        head, tail = idx[: i - 1], idx[i + 1 :]
+                        for kk, c in src[idx[i - 1]][idx[i]]:
+                            j = own[head + (kk,) + tail]
+                            for k in range(t):
+                                _add(acc[k], j + k, sign * c * w[1])
+                    sign = -1 if (q + p) % 2 else 1
+                    j = own[idx[:-1]]
+                    for k, m, c in right[idx[-1]]:
+                        _add(acc[k], j + m, sign * c)
+                value = [_row(a) for a in acc]
+                if any(cols for cols, _ in value):
+                    items.append((idx, len(rows)))
+                    rows.extend(value)
+            if items:
+                blocks.append((key, t, items))
+
+    denominator = w[0]
+    if denominator != 1:
+        g = gcd(denominator, *[c for _, coefs in rows for c in coefs])
+        if g != 1:
+            rows = [(cols, tuple(c // g for c in coefs)) for cols, coefs in rows]
+            denominator //= g
+    return CoboundaryMatrix(basis, columns, rows, blocks, denominator)
+
+
+def _add(row, j, c):
+    row[j] = row.get(j, 0) + c
+
+
+def _row(entries):
+    """{column: coefficient} as (cols, coefs) in column order, zeros dropped."""
+    pairs = sorted((j, c) for j, c in entries.items() if c)
+    return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
+
+
+def _actions(products, rho, s, t, scale):
+    """The two actions of a source basis vector e_a on target values, through
+    rho: left[a] and right[a] list the nonzero (k, m, c) with c the k-th
+    coordinate of (rho e_a) e_m, resp. e_m (rho e_a), times scale."""
+    left, right = [], []
+    for a in range(s):
+        lacc, racc = {}, {}
+        for l in range(t):
+            x = rho[l][a]
+            if not x:
+                continue
+            for m in range(t):
+                for k, c in products[l][m]:
+                    _add(lacc, (k, m), x * c)
+                for k, c in products[m][l]:
+                    _add(racc, (k, m), x * c)
+        left.append([(k, m, c * scale) for (k, m), c in sorted(lacc.items()) if c])
+        right.append([(k, m, c * scale) for (k, m), c in sorted(racc.items()) if c])
+    return left, right
+
+
+def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
+    """The bicomplex coboundary, one total degree up, as one application of
+    coboundary_matrix(gamma.diagram, gamma.degree).
+
+    The entries of gamma are put over the lcm of their denominators, each
+    row is an integer dot product with them, and each nonzero output
+    coordinate becomes one Fraction.  single_morphism_coboundary and
+    hochschild_coboundary compute the same values by multilinear expansion
+    and serve as the oracle for this function.
     """
     D = gamma.diagram
-    cat = D.category
-    n = gamma.degree
-    data = nerve(cat, n + 1)
+    M = coboundary_matrix(D, gamma.degree)
+    x = [0] * len(M.basis)
+    for key, table in gamma.components.items():
+        cols = M.columns[key]
+        for args, vec in table.items():
+            j = cols[args]
+            x[j : j + len(vec)] = vec
+    den = lcm(*[v.denominator for v in x])
+    x = [v.numerator * (den // v.denominator) for v in x]
+    vals = [sum(map(mul, coefs, map(x.__getitem__, cols))) for cols, coefs in M.rows]
+    den *= M.denominator
+    make = Fraction if den == 1 else (lambda t: Fraction(t, den))
     components = {}
-    for q in range(n + 2):
-        p = n + 1 - q
-        for key in data.simplices[q]:
-            src = D.algebra_at(key, "cod")
-            dst = D.algebra_at(key, "dom")
-            faces = []
-            if q >= 1:
-                T = D.maps[key[0]]
-                phi_cols = _columns(D.maps[key[-1]])
-                faces = [(r, gamma.components[face]) for r, face in _faces(cat, key)
-                         if face in gamma.components]
-            own = gamma.component(key)  # always empty when p == 0
-            if own:
-                rho_cols = _columns(D.transport(key))
-                hoch_odd = q % 2 == 1
-                last_odd = (q + p) % 2 == 1
-            table = {}
-            for idx in _index_tuples(src.dim, p):
-                total = _zeros(dst.dim)
-                for r, comp in faces:
-                    if r == q:
-                        val = _table_evaluate(comp, dst.dim, [phi_cols[i] for i in idx])
-                    else:
-                        val = comp.get(idx)
-                        if val is None:
-                            continue
-                        if r == 0:
-                            val = _mat_vec(T, val)
-                    _accumulate(total, val, r % 2 == 1)
-                if own:
-                    val = own.get(idx[1:])
-                    if val is not None:
-                        _accumulate(total, dst.multiply(rho_cols[idx[0]], val), hoch_odd)
-                    for i in range(1, p):
-                        head, tail = idx[: i - 1], idx[i + 1 :]
-                        for k, c in enumerate(src.table[idx[i - 1]][idx[i]]):
-                            if c:
-                                val = own.get(head + (k,) + tail)
-                                if val is not None:
-                                    _accumulate(total, [c * x for x in val],
-                                                (q + i) % 2 == 1)
-                    val = own.get(idx[:-1])
-                    if val is not None:
-                        _accumulate(total, dst.multiply(val, rho_cols[idx[-1]]), last_odd)
-                if not _vec_is_zero(total):
-                    table[idx] = total
-            if table:
-                components[key] = table
-    return DiagramCochain(D, n + 1, components)
-
-
-def _columns(M):
-    """The columns of a matrix: column i is the image of the i-th basis vector."""
-    return list(zip(*M))
-
-
-def _accumulate(total, vec, subtract):
-    """total += vec, or total -= vec, in place; zero entries are skipped."""
-    for k, x in enumerate(vec):
-        if x:
-            if subtract:
-                total[k] -= x
-            else:
-                total[k] += x
+    for key, dim, items in M.blocks:
+        table = {}
+        for idx, start in items:
+            vec = vals[start : start + dim]
+            if any(vec):
+                table[idx] = [make(t) if t else _ZERO for t in vec]
+        if table:
+            components[key] = table
+    return DiagramCochain._trusted(D, gamma.degree + 1, components)
 
 
 # ------------------------------------------- the single-morphism special case

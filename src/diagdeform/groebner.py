@@ -219,6 +219,7 @@ def buchberger(generators) -> GroebnerRun:
     pre_monic = [g.leading_coeff() for g in gens]
     pivot_log = []
     G = [g.monic() for g in gens]
+    leads = [g.leading_monomial() for g in G]  # leads[i] is the lead of G[i]
     pairs = set(combinations(range(len(G)), 2))
     treated = set()
     reduced_count = 0
@@ -226,7 +227,7 @@ def buchberger(generators) -> GroebnerRun:
 
     def pair_key(ij):
         i, j = ij
-        l = m_lcm(G[i].leading_monomial(), G[j].leading_monomial())
+        l = m_lcm(leads[i], leads[j])
         return (m_deg(l), degrevlex_key(l), i, j)
 
     while pairs:
@@ -234,7 +235,7 @@ def buchberger(generators) -> GroebnerRun:
         pairs.discard(ij)
         treated.add(ij)
         i, j = ij
-        li, lj = G[i].leading_monomial(), G[j].leading_monomial()
+        li, lj = leads[i], leads[j]
         l = m_lcm(li, lj)
         if l == m_mul(li, lj):  # product criterion
             skipped += 1
@@ -243,7 +244,7 @@ def buchberger(generators) -> GroebnerRun:
         for k in range(len(G)):
             if k in ij:
                 continue
-            if m_divides(G[k].leading_monomial(), l):
+            if m_divides(leads[k], l):
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
                 if p1 in treated and p2 in treated:
@@ -257,15 +258,17 @@ def buchberger(generators) -> GroebnerRun:
         if not r.is_zero():
             pre_monic.append(r.leading_coeff())
             G.append(r.monic())
+            leads.append(r.leading_monomial())
             n = len(G) - 1
             pairs.update((k, n) for k in range(n))
 
-    # minimal basis: drop anything whose lead is divisible by another lead
-    minimal = []
-    for g in sorted(G, key=lambda g: degrevlex_key(g.leading_monomial())):
-        lm = g.leading_monomial()
-        if not any(m_divides(h.leading_monomial(), lm) for h in minimal):
+    # minimal basis: drop anything whose lead is divisible by another lead;
+    # inter-reduction below keeps each lead, since no other lead divides it
+    minimal, minimal_leads = [], []
+    for lm, g in sorted(zip(leads, G), key=lambda lg: degrevlex_key(lg[0])):
+        if not any(m_divides(h, lm) for h in minimal_leads):
             minimal.append(g)
+            minimal_leads.append(lm)
 
     # inter-reduce tails to the unique reduced basis
     changed = True
@@ -278,9 +281,8 @@ def buchberger(generators) -> GroebnerRun:
                 minimal[idx] = r
                 changed = True
 
-    basis = sorted(
-        minimal, key=lambda g: degrevlex_key(g.leading_monomial()), reverse=True
-    )
+    basis = [g for _, g in sorted(zip(minimal_leads, minimal),
+                                  key=lambda lg: degrevlex_key(lg[0]), reverse=True)]
 
     for f, g in combinations(basis, 2):
         if not normal_form(s_polynomial(f, g), basis).is_zero():

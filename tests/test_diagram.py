@@ -4,18 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from diagdeform.acceptance import sample_arrow_diagram, sample_cospan_diagram
+from diagdeform import diagram
+from diagdeform.acceptance import (
+    criterion_diagram,
+    sample_arrow_diagram,
+    sample_cospan_diagram,
+)
 from diagdeform.diagram import (
     ArityMismatch,
     DiagramCochain,
     DiagramOfAlgebras,
     InvalidMorphism,
+    OutsideBasis,
     SmallCategory,
     ToyAlgebra,
     TypeMismatch,
     _mat_mul,
     _vec_is_zero,
     check_algebra_map,
+    coboundary_matrix,
     diagram_algebra,
     matrix_model_check,
     nerve,
@@ -152,6 +159,22 @@ def test_arity_mismatch_rejected():
         DiagramCochain(D, 1, {("u",): {(0,): [F(1)]}})
 
 
+def test_argument_outside_basis_rejected():
+    D = sample_arrow_diagram()
+    with pytest.raises(OutsideBasis, match=r"'A'.*\(7,\)"):
+        DiagramCochain(D, 1, {"A": {(7,): [1, 0]}})
+    with pytest.raises(OutsideBasis, match=r"'B'.*\(-1,\)"):
+        DiagramCochain(D, 1, {"B": {(-1,): [2, 0]}})
+    with pytest.raises(OutsideBasis, match=r"\('u',\).*\(0, 2\)"):
+        DiagramCochain(D, 3, {("u",): {(0, 2): [1, 0]}})
+    # degenerate and non-composable strings are not simplices of the nerve
+    for key in (("id_A",), ("u", "u"), (), "Z"):
+        with pytest.raises(OutsideBasis):
+            DiagramCochain(D, 2, {key: {}})
+    # the largest index of each basis is accepted
+    DiagramCochain(D, 1, {"A": {(1,): [1, 0]}, ("u",): {(): [0, 1]}})
+
+
 def mixed_diagram():
     """Arrow category with dual numbers upstairs and QQ^2 downstairs."""
     cat = SmallCategory.arrow()
@@ -188,9 +211,41 @@ def chain_diagram():
     )
 
 
+LT_PROJECTION = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
+
+
+def lt_arrow_diagram():
+    """A non-commutative arrow: lower triangular 2x2 matrices (E11, E22, E21)
+    at A, mapped onto their diagonal QQ^2 at B."""
+    return DiagramOfAlgebras(
+        SmallCategory.arrow(),
+        {"A": ToyAlgebra.lower_triangular_2x2(), "B": ToyAlgebra.diagonal(2)},
+        {"u": LT_PROJECTION},
+    )
+
+
+def lt_chain_diagram():
+    """Lower triangular 2x2 matrices at every object of 0 < 1 < 2, identity maps."""
+    lt = ToyAlgebra.lower_triangular_2x2()
+    return DiagramOfAlgebras(
+        SmallCategory.chain(2), {0: lt, 1: lt, 2: lt},
+        {f: ident(3) for f in ("m_0_1", "m_1_2", "m_0_2")},
+    )
+
+
+DIAGRAMS = {
+    "arrow": sample_arrow_diagram,
+    "cospan": sample_cospan_diagram,
+    "chain": chain_diagram,
+    "constant_parallel": lambda: DiagramOfAlgebras.constant(SmallCategory.parallel_pair()),
+    "lt_arrow": lt_arrow_diagram,
+    "lt_chain": lt_chain_diagram,
+}
+
+
 def test_delta_squared_vanishes_on_random_cochains():
     rng = random.Random(2024)
-    for D in (mixed_diagram(), cospan_diagram(), chain_diagram()):
+    for D in (mixed_diagram(), cospan_diagram(), chain_diagram(), lt_chain_diagram()):
         for degree in (0, 1, 2):
             for _ in range(3):
                 g = DiagramCochain.random(D, degree, rng)
@@ -207,9 +262,11 @@ def _coboundary_digest(cochains):
 
 
 # total_coboundary of three DiagramCochain.random(D, degree, Random(1983))
-# cochains per degree (one rng per diagram, degrees in order), recorded from
-# the multilinear-expansion implementation that evaluated every face and
-# Hochschild term on coordinate vectors.
+# cochains per degree (one rng per diagram, degrees in order).  The first
+# three were recorded from the multilinear-expansion implementation that
+# evaluated every face and Hochschild term on coordinate vectors, the two
+# lower triangular ones from the basis-tuple implementation that preceded
+# the coboundary matrix.
 PINNED_COBOUNDARIES = {
     "arrow": [(3, "ebe5ab1df9243f9b"), (27, "67ab4e8130493bc8"),
               (37, "c3f25cf6db78df46"), (107, "fbdccf11f72cd9c2")],
@@ -217,13 +274,16 @@ PINNED_COBOUNDARIES = {
                (48, "0a3160eba0a89b42"), (130, "c2b917001b134c4d")],
     "chain": [(9, "d5fab5d58286fae8"), (55, "ca44cb01accda58f"),
               (80, "d3d76ec13323ee3e"), (211, "3a1770243a83bb79")],
+    "lt_arrow": [(11, "ccd087e0659b2dbb"), (47, "388f1ed03b5dc008"),
+                 (121, "e54a57a38ab945ca"), (357, "9cca0141eec059c0")],
+    "lt_chain": [(31, "07cac677bf708df2"), (108, "c9e7bb4f3b6c41fb"),
+                 (324, "b7425496a3041b80"), (975, "d56019afb8956801")],
 }
 
 
-@pytest.mark.parametrize("name", ["arrow", "cospan", "chain"])
+@pytest.mark.parametrize("name", sorted(PINNED_COBOUNDARIES))
 def test_total_coboundary_values_are_pinned(name):
-    D = {"arrow": sample_arrow_diagram, "cospan": sample_cospan_diagram,
-         "chain": chain_diagram}[name]()
+    D = DIAGRAMS[name]()
     rng = random.Random(1983)
     got = []
     for degree in range(4):
@@ -264,6 +324,97 @@ def test_single_morphism_matches_total_coboundary():
         assert d.component("A") == db
         assert d.component("B") == da
         assert d.component(("u",)) == mixed
+
+
+def test_fractional_diagram_and_cochains_match_single_morphism_oracle():
+    # QQ^2 in the basis (1, e1/2) has the structure constant (e1/2)^2 = (1/2)(e1/2),
+    # and its identification with the diagonal basis has the entry 1/2, so the
+    # matrices carry a denominator and the cochains bring their own
+    half = ToyAlgebra(2, [[[1, 0], [0, 1]], [[0, 1], [0, F(1, 2)]]], [1, 0])
+    diag = ToyAlgebra.diagonal(2)
+    phi = [[F(1), F(1, 2)], [F(1), F(0)]]
+    D = DiagramOfAlgebras(SmallCategory.arrow(), {"A": half, "B": diag}, {"u": phi})
+    rng = random.Random(91)
+
+    def rand_table(src_dim, dst_dim, arity):
+        return {t: [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dst_dim)]
+                for t in diagram._index_tuples(src_dim, arity)}
+
+    for degree in range(4):
+        assert coboundary_matrix(D, degree).denominator > 1
+        gb = rand_table(2, 2, degree)
+        ga = rand_table(2, 2, degree)
+        gphi = rand_table(2, 2, degree - 1) if degree else None
+        db, da, mixed = single_morphism_coboundary(half, diag, phi, gb, ga, gphi, degree)
+        components = {"A": gb, "B": ga}
+        if gphi:
+            components[("u",)] = gphi
+        d = total_coboundary(DiagramCochain(D, degree, components))
+        assert (d.component("A"), d.component("B"), d.component(("u",))) == (db, da, mixed)
+
+
+def _matrix_rows(M):
+    """The rows of a coboundary matrix keyed by (simplex, args, coordinate)."""
+    out = {}
+    for key, dim, items in M.blocks:
+        for idx, start in items:
+            for k in range(dim):
+                cols, coefs = M.rows[start + k]
+                out[(key, idx, k)] = dict(zip(cols, coefs))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_coboundary_matrices_compose_to_zero(name):
+    D = DIAGRAMS[name]()
+    for n in range(3):
+        first = _matrix_rows(coboundary_matrix(D, n))
+        second = coboundary_matrix(D, n + 1)
+        for cols, coefs in second.rows:
+            product = {}
+            for j, c in zip(cols, coefs):
+                for col, c2 in first.get(second.basis[j], {}).items():
+                    product[col] = product.get(col, 0) + c * c2
+            assert not any(product.values())
+
+
+@pytest.mark.parametrize("name", ["arrow", "lt_arrow"])
+def test_coboundary_matrix_columns_match_single_morphism_oracle(name):
+    D = DIAGRAMS[name]()
+    B, A, phi = D.algebras["A"], D.algebras["B"], D.maps["u"]
+    slot = {"A": 0, "B": 1, ("u",): 2}
+    for n in range(3):
+        M = coboundary_matrix(D, n)
+        rows = _matrix_rows(M)
+        for j, (key, args, m) in enumerate(M.basis):
+            triple = [{}, {}, {}]
+            triple[slot[key]] = {args: [F(int(i == m)) for i in range(D.algebra_at(key, "dom").dim)]}
+            oracle = single_morphism_coboundary(B, A, phi, *triple, n)
+            expected = {(out_key, idx, k): c
+                        for out_key, table in zip(("A", "B", ("u",)), oracle)
+                        for idx, vec in table.items() for k, c in enumerate(vec) if c}
+            column = {label: F(row[j], M.denominator)
+                      for label, row in rows.items() if row.get(j)}
+            assert column == expected
+
+
+def test_coboundary_matrices_are_built_once_per_diagram_and_degree(monkeypatch):
+    built = []
+    real = diagram._build_coboundary_matrix
+
+    def counting(D, n):
+        built.append(n)
+        return real(D, n)
+
+    monkeypatch.setattr(diagram, "_build_coboundary_matrix", counting)
+    criterion_diagram(1729)
+    assert sorted(built) == [0, 0, 1, 1, 2, 2, 3, 3]
+    D = sample_cospan_diagram()
+    g = DiagramCochain.random(D, 2, random.Random(3))
+    first = total_coboundary(g)
+    assert built[8:] == [2]
+    assert total_coboundary(g) == first
+    assert built[8:] == [2]
 
 
 def test_single_morphism_zero_triple():
@@ -325,4 +476,9 @@ def test_single_morphism_embedding_check_helper():
     assert single_morphism_embedding_check(
         ToyAlgebra.diagonal(2), ToyAlgebra.dual_numbers(),
         [[F(1), F(0)], [F(0), F(0)]], (0, 1, 2), rng,
+    )
+    # non-commutative: a left/right swap in any Hochschild term changes values
+    assert single_morphism_embedding_check(
+        ToyAlgebra.lower_triangular_2x2(), ToyAlgebra.diagonal(2), LT_PROJECTION,
+        (0, 1, 2, 3), random.Random(77),
     )
