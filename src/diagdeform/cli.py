@@ -16,6 +16,7 @@ not failures, and leave the exit status at 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -638,9 +639,15 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs far more than a parse."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = args.fn(args)
         if not getattr(args, "_raw", False):

@@ -153,9 +153,17 @@ class MultiPoly(SparsePoly):
         return " + ".join(bits)
 
 
-def normal_form(p: MultiPoly, basis, pivot_log=None):
-    """Fully reduce p modulo the basis; remainder has no reducible term."""
-    lms = [(g.leading_monomial(), g) for g in basis if not g.is_zero()]
+def normal_form(p: MultiPoly, basis, pivot_log=None, leads=None):
+    """Fully reduce p modulo the basis; remainder has no reducible term.
+
+    leads, if given, are the leading monomials of the basis elements, in
+    order, and the elements are all nonzero; they are then not computed
+    again.
+    """
+    if leads is None:
+        lms = [(g.leading_monomial(), g) for g in basis if not g.is_zero()]
+    else:
+        lms = list(zip(leads, basis))
     work = dict(p.terms)
     out = {}
     while work:
@@ -253,7 +261,7 @@ def buchberger(generators) -> GroebnerRun:
         if chain:
             skipped += 1
             continue
-        r = normal_form(s_polynomial(G[i], G[j]), G, pivot_log)
+        r = normal_form(s_polynomial(G[i], G[j]), G, pivot_log, leads)
         reduced_count += 1
         if not r.is_zero():
             pre_monic.append(r.leading_coeff())
@@ -276,19 +284,22 @@ def buchberger(generators) -> GroebnerRun:
         changed = False
         for idx in range(len(minimal)):
             rest = minimal[:idx] + minimal[idx + 1:]
-            r = normal_form(minimal[idx], rest, pivot_log).monic()
+            rest_leads = minimal_leads[:idx] + minimal_leads[idx + 1:]
+            r = normal_form(minimal[idx], rest, pivot_log, rest_leads).monic()
             if r != minimal[idx]:
                 minimal[idx] = r
                 changed = True
 
     basis = [g for _, g in sorted(zip(minimal_leads, minimal),
                                   key=lambda lg: degrevlex_key(lg[0]), reverse=True)]
+    # the self-check reads the leads off the final basis, not the bookkeeping
+    basis_leads = [g.leading_monomial() for g in basis]
 
     for f, g in combinations(basis, 2):
-        if not normal_form(s_polynomial(f, g), basis).is_zero():
+        if not normal_form(s_polynomial(f, g), basis, leads=basis_leads).is_zero():
             raise AssertionError("S-polynomial of final basis does not reduce to zero")
     for g in gens:
-        if not normal_form(g, basis).is_zero():
+        if not normal_form(g, basis, leads=basis_leads).is_zero():
             raise AssertionError("input generator not reduced to zero by final basis")
 
     return GroebnerRun(basis, pre_monic, pivot_log, reduced_count, skipped)

@@ -1,9 +1,9 @@
 """Star products on the polynomial plane from commuting derivation pairs.
 
-Given derivations phi_1, psi_1, ..., phi_m, psi_m of k[x,y] that all commute
+Given derivations phi_1, psi_1, ..., phi_r, psi_r of k[x,y] that all commute
 with one another, the prescription
 
-    a * b = mu . exp(hbar * sum_i phi_i (x) psi_i) (a (x) b)
+    a * b = mu . exp(hbar * D) (a (x) b),    D = sum_i phi_i (x) psi_i,
 
 deforms the commutative product (mu is plain multiplication, (x) the tensor
 product).  Three specs are built in:
@@ -19,21 +19,31 @@ associative).
 On polynomials the normal and Moyal series terminate, because each step
 lowers degree on one side of the tensor.  The qplane operator preserves
 degree and need not terminate, so star always returns a truncated series
-together with an exactness flag saying whether the operator had annihilated
-the tensor by the requested order.
+together with an exactness flag saying whether D^(order+1)(a (x) b) = 0,
+so that every discarded coefficient is known to vanish.
 
-The operator sum_i phi_i (x) psi_i is compiled once per spec into integer
-terms over one denominator.  star and star_series share one integer kernel:
-every input coefficient is put over one common denominator, and the pairs
-A_m (x) B_n go into a single tensor keyed by (s, i1, j1, i2, j2), where
-s = m + n is the hbar level the pair starts at; star is the one-term case
-A_0 (x) B_0.  Each step applies the operator once to the whole tensor and
-drops the keys whose level would pass the truncation order.  After each
-step the tensor is contracted into one integer accumulator per output level
-l, over den * spec._den^l * l!, and a Fraction is built once per output
-monomial, at the end.  The arithmetic is exact and Fraction(n, d) is
-canonical, so the coefficients are the same values, and print the same
-bytes, as a sum of star products taken pair by pair.
+The phi_i commute with one another, and so do the psi_i (StarSpec checks
+this whenever it has two pairs or more), so
+
+    D^k (a (x) b) = sum_{|alpha| = k} (k!/alpha!) phi^alpha a (x) psi^alpha b
+
+and the hbar^l coefficient of A * B, for series A and B, is
+
+    sum_{m + n + |alpha| = l} (1/alpha!) phi^alpha(A_m) psi^alpha(B_n).
+
+star, star_series and associativity_check share one kernel that computes
+this on integer levels: a level is a dict of integer numerators by monomial
+over one denominator.  The kernel puts each side's levels over one common
+denominator, builds the derivative jets phi^alpha A_m and psi^alpha B_n
+one derivation at a time from the jets of the parent multi-index, drops a
+branch once one of its sides is zero, and multiplies the jets into one
+integer accumulator per output level l, over DA * DB * L^l * l!, where L
+is the spec's common denominator; the integer weights of the (alpha, l)
+terms are cached on the spec.  star and star_series build a Fraction once
+per output monomial; associativity_check chains the kernel and compares
+its two sides by cross-multiplication, building no Fraction at all.  The
+arithmetic is exact and Fraction(n, d) is canonical, so the coefficients
+are the same values, and print the same bytes, as the operator expansion.
 
 Degrees here are graded with deg x = +1, deg y = -1; all three built-in
 specs preserve that grading, which grading_check exercises on random
@@ -44,7 +54,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .scalars import (
     QQ,
@@ -139,12 +149,35 @@ class Poly2(SparsePoly):
 P2 = SparsePolyRing(Poly2.zero(), "QQ[x,y]")
 
 
-def _integer_form(*polys):
-    """Integer numerators of each poly, by monomial, over their common
-    denominator: returns ([dict per poly], denominator)."""
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return [{k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}
-            for p in polys], den
+def _levels(polys) -> list:
+    """Each poly as an integer level: (numerators by monomial, denominator)."""
+    out = []
+    for p in polys:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        out.append(({k: c.numerator * (den // c.denominator) for k, c in p.terms.items()},
+                    den))
+    return out
+
+
+def _common(levels):
+    """Integer levels over their least common denominator:
+    ([numerators by monomial], denominator)."""
+    den = lcm(*(d for _, d in levels))
+    return [nums if d == den else {k: n * (den // d) for k, n in nums.items()}
+            for nums, d in levels], den
+
+
+def _polys(levels) -> list:
+    """Integer levels as Poly2s, one Fraction per monomial."""
+    return [Poly2._from_clean({k: Fraction(n, d) for k, n in nums.items()})
+            for nums, d in levels]
+
+
+def _check_commuting(derivations):
+    for i, d in enumerate(derivations):
+        for e in derivations[i + 1:]:
+            if not d.commutes_with(e):
+                raise NonCommutingDerivations(f"derivations {d} and {e} do not commute")
 
 
 class Derivation:
@@ -162,12 +195,13 @@ class Derivation:
     def _integer_action(self):
         """The action on x^i y^j as integer terms over one denominator.
 
-        A term (di, dj, s, n) contributes n * (i, j)[s] x^(i+di) y^(j+dj);
-        the derivation is the sum of its terms over the returned denominator.
+        Returns ((xs, ys), den): a term (di, dj, n) of xs contributes
+        n * i x^(i+di) y^(j+dj), one of ys n * j x^(i+di) y^(j+dj); the
+        derivation is the sum of its terms over den.
         """
-        (px, py), den = _integer_form(self.px, self.py)
-        return ([(a - 1, b, 0, n) for (a, b), n in px.items()]
-                + [(a, b - 1, 1, n) for (a, b), n in py.items()]), den
+        (px, py), den = _common(_levels([self.px, self.py]))
+        return ([(a - 1, b, n) for (a, b), n in px.items()],
+                [(a, b - 1, n) for (a, b), n in py.items()]), den
 
     def commutes_with(self, other: "Derivation") -> bool:
         """Whether [self, other] = 0, checked on the generators.
@@ -184,51 +218,40 @@ class Derivation:
 
 
 class StarSpec:
-    """A named list of derivation pairs defining the exponential product."""
+    """A named list of derivation pairs defining the exponential product.
 
-    __slots__ = ("kind", "pairs", "_ops", "_den")
+    With two or more pairs the phi_i must commute with one another, and so
+    must the psi_i, or the jet expansion of the kernel does not hold; the
+    constructor raises NonCommutingDerivations otherwise.  A single pair
+    needs no check, since (phi (x) psi)^k = phi^k (x) psi^k for any phi
+    and psi.
+    """
+
+    __slots__ = ("kind", "pairs", "_actions", "_scales", "_den", "_weights")
 
     def __init__(self, kind: str, pairs):
         self.kind = kind
         self.pairs = tuple(pairs)
-        self._compile()
-
-    def _compile(self):
-        """Compile sum_i phi_i (x) psi_i into integer terms over self._den.
-
-        A term (di1, dj1, s1, di2, dj2, s2, w) sends the tensor key
-        k = (s, i1, j1, i2, j2) to (s, i1+di1, j1+dj1, i2+di2, j2+dj2) with
-        weight w * k[s1] * k[s2]; terms with the same shift and slots are
-        merged.
-        """
+        _check_commuting([phi for phi, _ in self.pairs])
+        _check_commuting([psi for _, psi in self.pairs])
         actions = [(phi._integer_action(), psi._integer_action())
                    for phi, psi in self.pairs]
-        den = lcm(*(d1 * d2 for (_, d1), (_, d2) in actions))
-        ops = {}
-        for (terms1, d1), (terms2, d2) in actions:
-            scale = den // (d1 * d2)
-            for di1, dj1, s1, n1 in terms1:
-                for di2, dj2, s2, n2 in terms2:
-                    key = (di1, dj1, s1 + 1, di2, dj2, s2 + 3)
-                    ops[key] = ops.get(key, 0) + n1 * n2 * scale
-        self._ops = tuple(key + (w,) for key, w in ops.items() if w)
-        self._den = den
+        self._den = lcm(*(d1 * d2 for (_, d1), (_, d2) in actions))
+        self._actions = [(t1, t2) for (t1, _), (t2, _) in actions]
+        self._scales = [self._den // (d1 * d2) for (_, d1), (_, d2) in actions]
+        self._weights = {}
 
-    def _apply(self, tensor: dict, top: int) -> dict:
-        """The operator on the keys of level at most top of an integer
-        tensor {(s, i1, j1, i2, j2): n}; the result is over one more factor
-        self._den, equal keys merged and zeros dropped."""
-        out = {}
-        for key, v in tensor.items():
-            s, i1, j1, i2, j2 = key
-            if s > top:
-                continue
-            for di1, dj1, s1, di2, dj2, s2, w in self._ops:
-                m = key[s1] * key[s2]
-                if m:
-                    k = (s, i1 + di1, j1 + dj1, i2 + di2, j2 + dj2)
-                    out[k] = out.get(k, 0) + v * w * m
-        return {k: v for k, v in out.items() if v}
+    def _weight(self, alpha: tuple, level: int) -> int:
+        """The weight of phi^alpha A_m psi^alpha B_n in output level
+        `level`: 1/alpha! over the pairs' denominators, as an integer over
+        L^level * level!, L = self._den."""
+        w = self._weights.get((alpha, level))
+        if w is None:
+            w = self._den ** (level - sum(alpha)) * factorial(level)
+            w = w * prod(c ** e for c, e in zip(self._scales, alpha))
+            w //= prod(factorial(e) for e in alpha)
+            self._weights[(alpha, level)] = w
+        return w
 
     @classmethod
     def normal(cls) -> "StarSpec":
@@ -248,13 +271,7 @@ class StarSpec:
 
     @classmethod
     def custom(cls, pairs) -> "StarSpec":
-        flat = [d for pair in pairs for d in pair]
-        for a in range(len(flat)):
-            for b in range(a + 1, len(flat)):
-                if not flat[a].commutes_with(flat[b]):
-                    raise NonCommutingDerivations(
-                        f"derivations {flat[a]} and {flat[b]} do not commute"
-                    )
+        _check_commuting([d for pair in pairs for d in pair])
         return cls("custom", pairs)
 
     @classmethod
@@ -268,61 +285,123 @@ class StarSpec:
         return f"StarSpec({self.kind})"
 
 
-def _star_kernel(A, B, spec: StarSpec, order: int):
-    """sum_{m+n+k <= order} hbar^(m+n+k) (1/k!) mu[D^k (A_m (x) B_n)] for
-    coefficient lists A and B, where D = sum_i phi_i (x) psi_i.
+def _derive(action, nums: dict) -> dict:
+    """One derivation's integer action (xs, ys) applied to integer
+    numerators by monomial; the result is over the action's denominator,
+    with zeros dropped."""
+    xs, ys = action
+    out = {}
+    for (i, j), n in nums.items():
+        if i:
+            n_i = n * i
+            for di, dj, w in xs:
+                k = (i + di, j + dj)
+                out[k] = out.get(k, 0) + n_i * w
+        if j:
+            n_j = n * j
+            for di, dj, w in ys:
+                k = (i + di, j + dj)
+                out[k] = out.get(k, 0) + n_j * w
+    return {k: v for k, v in out.items() if v}
 
-    Returns the order + 1 Poly2 coefficients and the last tensor computed,
-    D^k of the pairs at the last step k reached (empty once D annihilated
-    them).
+
+def _star_kernel(A: list, B: list, spec: StarSpec, order: int, flag: bool = False):
+    """sum_{m+n+|alpha| = l} (1/alpha!) phi^alpha(A_m) psi^alpha(B_n) for
+    l = 0..order, on lists A and B of integer levels (numerators by
+    monomial, denominator).
+
+    Returns the order + 1 output levels, level l over DA * DB * L^l * l!
+    (DA and DB the common denominators of A and B, L = spec._den), and,
+    when flag is set, whether D^(order+1)(A_0 (x) B_0) = 0; None otherwise.
+    The flag needs the jets of level order + 1 and so reads only A_0, B_0.
     """
-    As, da = _integer_form(*A[:order + 1])
-    Bs, db = _integer_form(*B[:order + 1])
-    tensor = {}
-    for m, u in enumerate(As):
-        for n, v in enumerate(Bs[:order + 1 - m]):
-            for (i1, j1), p in u.items():
-                for (i2, j2), q in v.items():
-                    key = (m + n, i1, j1, i2, j2)
-                    tensor[key] = tensor.get(key, 0) + p * q
-    # Level l accumulates over da * db * spec._den^l * l!.  At step k,
-    # (1/k!) mu(tensor) is over da * db * spec._den^k * k!, so a key of level
-    # s is scaled by spec._den^s * (k+1)(k+2)...(k+s) on its way to level s + k.
+    As, da = _common(A[:order + 1])
+    Bs, db = _common(B[:order + 1])
     accs = [{} for _ in range(order + 1)]
+    # (alpha, first, phi^alpha A_m by m, psi^alpha B_n by n) for |alpha| = k;
+    # a child adds one to alpha at an index i >= first, so each multi-index
+    # is reached once, and a child with a zero side is never built, since
+    # every jet below it would be zero too
+    jets = [((0,) * len(spec._actions), 0, As, Bs)]
     for k in range(order + 1):
-        if k:
-            tensor = spec._apply(tensor, order - k)
-            if not tensor:
-                break
-        scale = [1]
-        for s in range(1, order + 1 - k):
-            scale.append(scale[-1] * spec._den * (k + s))
-        for (s, i1, j1, i2, j2), v in tensor.items():
-            acc = accs[s + k]
-            key = (i1 + i2, j1 + j2)
-            acc[key] = acc.get(key, 0) + v * scale[s]
+        children = []
+        for alpha, first, us, vs in jets:
+            for m, u in enumerate(us):
+                if not u:
+                    continue
+                for n in range(min(len(vs), order + 1 - k - m)):
+                    v = vs[n]
+                    if not v:
+                        continue
+                    level = k + m + n
+                    w = spec._weight(alpha, level)
+                    acc = accs[level]
+                    for (i1, j1), p in u.items():
+                        p *= w
+                        for (i2, j2), q in v.items():
+                            key = (i1 + i2, j1 + j2)
+                            acc[key] = acc.get(key, 0) + p * q
+            # children feed levels up to order - k - 1, or level 0 for the flag
+            keep = order - k if k < order else int(flag)
+            if not keep:
+                continue
+            for i in range(first, len(spec._actions)):
+                phi, psi = spec._actions[i]
+                cu = [_derive(phi, u) for u in us[:keep]]
+                if not any(cu):
+                    continue
+                cv = [_derive(psi, v) for v in vs[:keep]]
+                if any(cv):
+                    children.append((alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], i, cu, cv))
+        jets = children
+        if not jets:
+            break
     den = da * db
-    coeffs = []
+    levels = []
     for level, acc in enumerate(accs):
-        d = den * spec._den ** level * factorial(level)
-        coeffs.append(Poly2._from_clean({key: Fraction(n, d) for key, n in acc.items() if n}))
-    return coeffs, tensor
+        levels.append(({key: n for key, n in acc.items() if n}, den))
+        den *= spec._den * (level + 1)
+    if not flag:
+        return levels, None
+    if len(jets) < 2:
+        # one nonzero outer product u (x) v is nonzero
+        return levels, not jets
+    # several multi-indices: D^(order+1)(A_0 (x) B_0) is the sum of their
+    # weighted outer products, which may cancel
+    tensor = {}
+    for alpha, _, us, vs in jets:
+        w = spec._weight(alpha, order + 1)
+        for (i1, j1), p in us[0].items():
+            p *= w
+            for (i2, j2), q in vs[0].items():
+                key = (i1, j1, i2, j2)
+                tensor[key] = tensor.get(key, 0) + p * q
+    return levels, not any(tensor.values())
+
+
+def _same_levels(left: list, right: list) -> bool:
+    """Whether two lists of integer levels hold the same values: the same
+    monomials, level by level, and n_L * d_R == n_R * d_L for each."""
+    for (nl, dl), (nr, dr) in zip(left, right):
+        if nl.keys() != nr.keys():
+            return False
+        if any(n * dr != nr[k] * dl for k, n in nl.items()):
+            return False
+    return True
 
 
 def star(a: Poly2, b: Poly2, spec: StarSpec, order: int):
     """The truncated star product, as (series over Poly2, exact flag).
 
     The k-th coefficient is (1/k!) mu[(sum phi_i (x) psi_i)^k (a (x) b)].
-    The flag is True when the operator power annihilates a (x) b at or
-    before the requested order, so every discarded coefficient is known to
-    vanish; False means the truncation is a genuine truncation.
+    The flag is True when D^(order+1)(a (x) b) = 0, so every discarded
+    coefficient is known to vanish; False means the truncation is a
+    genuine truncation.
     """
     if order < 0:
         raise ValueError("negative truncation order")
-    coeffs, tensor = _star_kernel([a], [b], spec, order)
-    # every key of the one pair a (x) b is at level 0, so no key is dropped
-    exact = not tensor or not spec._apply(tensor, order)
-    return TruncSeries(P2, order, coeffs), exact
+    levels, exact = _star_kernel(_levels([a]), _levels([b]), spec, order, flag=True)
+    return TruncSeries(P2, order, _polys(levels)), exact
 
 
 def star_commutator(a: Poly2, b: Poly2, spec: StarSpec, order: int) -> TruncSeries:
@@ -336,7 +415,9 @@ def star_series(A: TruncSeries, B: TruncSeries, spec: StarSpec, order: int) -> T
     every binary operation on truncated series.
     """
     order = min(A.order, B.order, order)
-    return TruncSeries(P2, order, _star_kernel(A.coeffs, B.coeffs, spec, order)[0])
+    levels, _ = _star_kernel(_levels(A.coeffs[:order + 1]), _levels(B.coeffs[:order + 1]),
+                             spec, order)
+    return TruncSeries(P2, order, _polys(levels))
 
 
 def embed(a: Poly2, order: int) -> TruncSeries:
@@ -379,19 +460,22 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 def associativity_check(spec: StarSpec, order: int, trials: int, seed: int) -> dict:
     """Whether (a*b)*c = a*(b*c) modulo hbar^(order+1) on random triples.
 
-    Both sides are series of the same order over Poly2, whose terms are
-    canonical nonzero Fractions, so comparing them is the same exact verdict
-    as testing their difference for zero.
+    Each side chains the integer kernel twice and is compared with the
+    other level by level, exactly: the same monomials, and equal values by
+    cross-multiplying numerators and denominators.  Past the random inputs
+    no Fraction is built.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if order < 0:
+        raise ValueError("negative truncation order")
     failures = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        a, b, c = (_random_poly(rng) for _ in range(3))
-        left = star_series(star(a, b, spec, order)[0], embed(c, order), spec, order)
-        right = star_series(embed(a, order), star(b, c, spec, order)[0], spec, order)
-        if left != right:
+        a, b, c = (_levels([_random_poly(rng)]) for _ in range(3))
+        left, _ = _star_kernel(_star_kernel(a, b, spec, order)[0], c, spec, order)
+        right, _ = _star_kernel(a, _star_kernel(b, c, spec, order)[0], spec, order)
+        if not _same_levels(left, right):
             failures.append(t)
     return {
         "kind": spec.kind,

@@ -133,6 +133,26 @@ def test_failed_verdict_exits_1(capsys):
     assert "check broken: FAIL" in out
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    from diagdeform import cli
+
+    builds = []
+    build = cli._build_parser
+
+    def counted_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted_build)
+    cli._parser.cache_clear()
+    try:
+        for n in range(2, 12):
+            assert main(["weyl", "stirling", "--n", str(n % 4 + 2)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_encoder_exact_scalars():
     assert _encode(Fraction(3, 2)) == "3/2"
     assert _encode({(1, 2): Fraction(1, 3)}) == {"1,2": "1/3"}

@@ -12,7 +12,12 @@ from diagdeform.star import (
     NonCommutingDerivations,
     Poly2,
     StarSpec,
+    _levels,
+    _polys,
     _random_poly,
+    _same_levels,
+    _star_kernel,
+    _trial_rng,
     associativity_check,
     embed,
     grading_check,
@@ -251,22 +256,76 @@ def test_associativity_check_reports_a_non_associative_spec():
     assert rep["failures"] == [0, 1, 2, 3, 4] and not rep["ok"]
 
 
-# StarSpec._apply calls over one criterion_star_products(1729): one per
-# operator step of each star and star_series, and one per exact flag.
-STAR_PRODUCTS_APPLY_CALLS = 2650
+def test_constructor_rejects_noncommuting_phis_or_psis_across_pairs():
+    # [y dx, dy] = -dx: with jets the spec would give another hbar^2
+    # coefficient of star(x^2 y, x y^2 + x) than the operator expansion
+    with pytest.raises(NonCommutingDerivations):
+        StarSpec("bad", [(Derivation(Y, 0), Derivation(0, 1)),
+                         (Derivation(0, 1), Derivation(X, 0))])
+    with pytest.raises(NonCommutingDerivations):
+        StarSpec("bad", [(Derivation(1, 0), Derivation(Y, 0)),
+                         (Derivation(0, 1), Derivation(0, 1))])
+    # phi_1 = y dx fails to commute with psi_2 = dy, which custom rejects,
+    # but the phis commute and so do the psis, so the constructor accepts it
+    pairs = [(Derivation(Y, 0), Derivation(1, 0)), (Derivation(1, 0), Derivation(0, 1))]
+    with pytest.raises(NonCommutingDerivations):
+        StarSpec.custom(pairs)
+    assert StarSpec("cross", pairs).kind == "cross"
+
+
+def test_associativity_check_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="negative truncation order"):
+        associativity_check(StarSpec.normal(), -1, 1, 0)
+
+
+def test_same_levels_compares_values_across_denominators():
+    half = [({(0, 0): 1, (1, 0): -3}, 2)]
+    assert _same_levels(half, [({(0, 0): 2, (1, 0): -6}, 4)])
+    assert not _same_levels(half, [({(0, 0): 1, (1, 0): -3}, 4)])
+    assert not _same_levels(half, [({(0, 0): 1}, 2)])
+
+
+def _noncommuting_spec():
+    return StarSpec("noncommuting", [(Derivation(Y, 0), Derivation(0, 1))])
+
+
+@pytest.mark.parametrize("make", [StarSpec.normal, StarSpec.moyal, StarSpec.qplane,
+                                  _digest_spec, _noncommuting_spec])
+def test_integer_verdict_matches_the_fraction_comparison(make):
+    spec = make()
+    order, trials = 4, 4
+    for seed in (3, 17, 2024):
+        want = []
+        for t in range(trials):
+            rng = _trial_rng(seed, t)
+            a, b, c = (_random_poly(rng) for _ in range(3))
+            left = star_series(star(a, b, spec, order)[0], embed(c, order), spec, order)
+            right = star_series(embed(a, order), star(b, c, spec, order)[0], spec, order)
+            if left != right:
+                want.append(t)
+            # the chained integer levels hold the values of the Fraction series
+            ab, _ = _star_kernel(_levels([a]), _levels([b]), spec, order)
+            chained, _ = _star_kernel(ab, _levels([c]), spec, order)
+            assert tuple(_polys(chained)) == left.coeffs
+        assert associativity_check(spec, order, trials, seed)["failures"] == want
+
+
+# Derivation actions (_derive calls) over one criterion_star_products(1729):
+# one per jet of each input level, one derivation step from its parent.
+STAR_PRODUCTS_DERIVE_CALLS = 11797
 
 
 def test_star_products_criterion_work_is_pinned(monkeypatch):
     from diagdeform import star as star_module
     from diagdeform.acceptance import criterion_star_products
 
-    calls = {"apply": 0, "add_in_series": 0}
+    calls = {"derive": 0, "add_in_series": 0}
     inside = []
-    apply, add, series = StarSpec._apply, Poly2.__add__, star_module.star_series
+    derive, add, series = star_module._derive, Poly2.__add__, star_module.star_series
 
-    def counted_apply(self, tensor, top):
-        calls["apply"] += 1
-        return apply(self, tensor, top)
+    def counted_derive(action, nums):
+        calls["derive"] += 1
+        return derive(action, nums)
 
     def counted_add(self, other):
         calls["add_in_series"] += bool(inside)
@@ -279,9 +338,9 @@ def test_star_products_criterion_work_is_pinned(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(StarSpec, "_apply", counted_apply)
+    monkeypatch.setattr(star_module, "_derive", counted_derive)
     monkeypatch.setattr(Poly2, "__add__", counted_add)
     monkeypatch.setattr(Poly2, "__radd__", counted_add)
     monkeypatch.setattr(star_module, "star_series", marked_series)
     assert criterion_star_products(1729)["ok"]
-    assert calls == {"apply": STAR_PRODUCTS_APPLY_CALLS, "add_in_series": 0}
+    assert calls == {"derive": STAR_PRODUCTS_DERIVE_CALLS, "add_in_series": 0}

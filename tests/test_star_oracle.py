@@ -1,6 +1,7 @@
 """Star coefficients against an independent sympy expansion.
 
-For commuting pairs the k-th coefficient of a * b is
+When the phi_i commute with one another, and so do the psi_i, the k-th
+coefficient of a * b is
 
     (1/k!) sum_{|alpha| = k} multinomial(k; alpha)
            (prod_i phi_i^alpha_i a) (prod_i psi_i^alpha_i b),
@@ -31,6 +32,10 @@ PAIRS = {
     # pairs over different denominators (1/3 * 2 and -5/7 * 1)
     "mixed": [(lambda f: f.diff(x) / 3, lambda f: 2 * f.diff(y)),
               (lambda f: -sympy.Rational(5, 7) * f.diff(y), lambda f: f.diff(x))],
+    # phi_1 = y dx and psi_2 = dy do not commute, but the phis commute and so
+    # do the psis, which is all the expansion above needs
+    "cross": [(lambda f: y * f.diff(x), lambda f: f.diff(x)),
+              (lambda f: f.diff(x), lambda f: f.diff(y))],
 }
 
 
@@ -39,6 +44,11 @@ def make_spec(kind):
         return StarSpec.custom([
             (Derivation(Fraction(1, 3), 0), Derivation(0, 2)),
             (Derivation(0, Fraction(-5, 7)), Derivation(1, 0)),
+        ])
+    if kind == "cross":
+        return StarSpec("cross", [
+            (Derivation(Poly2.y(), 0), Derivation(1, 0)),
+            (Derivation(1, 0), Derivation(0, 1)),
         ])
     return StarSpec.named(kind)
 
