@@ -20,13 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .scalars import LAMBDA, RatFunc, RatFuncRing, SparsePoly, UniPoly, as_ratfunc
+from .scalars import LAMBDA, QQ_LAMBDA, RatFunc, SparsePoly, UniPoly, _coerced_terms, _fr
 
 VARS = ("x", "y", "z", "w")
 NVARS = 4
-
-_zero = RatFunc.zero(LAMBDA)
-_one = RatFunc.one(LAMBDA)
 
 
 def m_deg(m):
@@ -67,55 +64,37 @@ def monomial_str(m):
 
 
 class MultiPoly(SparsePoly):
-    """Sparse polynomial in x, y, z, w over QQ(lambda)."""
+    """Sparse polynomial in x, y, z, w over QQ(lambda).
+
+    ``MultiPoly(terms)`` takes a mapping, or (monomial, value) pairs whose
+    values for one monomial add up, and each value through the ring's
+    coerce.
+    """
 
     __slots__ = ()
 
-    ring = RatFuncRing(LAMBDA)
+    ring = QQ_LAMBDA
     _one_key = (0,) * NVARS
 
-    def __init__(self, terms=None):
-        clean = {}
-        for m, c in (terms or {}).items():
-            c = as_ratfunc(c, LAMBDA)
-            if not c.is_zero():
-                clean[tuple(m)] = c
-        self.terms = clean
+    def __init__(self, terms=()):
+        self.terms = _coerced_terms(QQ_LAMBDA, terms)
 
     @classmethod
     def from_terms(cls, pairs):
-        out = {}
-        for m, c in pairs:
-            m = tuple(m)
-            out[m] = out.get(m, _zero) + as_ratfunc(c, LAMBDA)
-        return cls(out)
+        return cls((tuple(m), c) for m, c in pairs)
 
     @classmethod
     def variable(cls, name, power=1):
         e = [0] * NVARS
         e[VARS.index(name)] = power
-        return cls({tuple(e): _one})
+        return cls({tuple(e): 1})
 
     @classmethod
     def const(cls, c):
         return cls({cls._one_key: c})
 
-    def __mul__(self, other):
-        if isinstance(other, (RatFunc, int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m_mul(m1, m2)
-                out[m] = out.get(m, _zero) + c1 * c2
-        return MultiPoly(out)
-
-    __rmul__ = __mul__
-
     def term_mul(self, mono, coeff):
-        return MultiPoly({m_mul(m, mono): c * coeff for m, c in self.terms.items()})
+        return self._like({m_mul(m, mono): u for m, c in self.terms.items() if (u := c * coeff)})
 
     def leading_monomial(self):
         if not self.terms:
@@ -187,14 +166,14 @@ def normal_form(p: MultiPoly, basis, pivot_log=None, leads=None):
         u = m_div(m, lm)
         for mg, cg in g.terms.items():
             t = m_mul(mg, u)
-            cur = work.get(t, _zero) - factor * cg
+            cur = work.get(t, QQ_LAMBDA.zero) - factor * cg
             if t == m:
                 continue
             if cur.is_zero():
                 work.pop(t, None)
             else:
                 work[t] = cur
-    return MultiPoly(out)
+    return p._like(out)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -431,7 +410,7 @@ def deformation_witness(lam0):
     standard monomials are rigid along the deformation.  The verdict is a
     statement about the basis, not an error condition.
     """
-    lam0 = Fraction(lam0)
+    lam0 = _fr(lam0)
     run = sphere_run()
     exc = exceptional_values(run)
     vanishing = []

@@ -33,18 +33,24 @@ from .scalars import (
     SparsePoly,
     SparsePolyRing,
     UniPoly,
+    _coerced_terms,
     one_plus_hbar,
 )
 
 
 class PseudoPoly(SparsePoly):
-    """Sparse normal-form element sum c_ij x^i y^j of a QWeyl algebra."""
+    """Sparse normal-form element sum c_ij x^i y^j of a QWeyl algebra.
+
+    ``PseudoPoly(algebra, terms)`` takes a mapping, or (key, value) pairs
+    whose values for one key add up, and each value through the ring's
+    coerce.
+    """
 
     __slots__ = ("algebra",)
 
     def __init__(self, algebra: "QWeyl", terms):
         self.algebra = algebra
-        self.terms = {key: c for key, c in dict(terms).items() if c}
+        self.terms = _coerced_terms(algebra.ring, terms)
 
     @property
     def ring(self):
@@ -59,9 +65,6 @@ class PseudoPoly(SparsePoly):
     def __mul__(self, other):
         if isinstance(other, PseudoPoly):
             return self.algebra.multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def __pow__(self, n: int):
@@ -89,25 +92,11 @@ class QWeyl(SparsePolyRing):
         self._qpow = [ring.one]
         self._shift_cache = {}
 
-    def coerce(self, v) -> PseudoPoly:
-        """v as an element of this algebra; a scalar becomes a constant."""
-        p = self.zero._coerce(v)
-        if p is NotImplemented:
-            raise TypeError(f"cannot coerce {v!r} into {self!r}")
-        return p
-
     def monomial(self, i: int, j: int, c=1) -> PseudoPoly:
-        if isinstance(c, (int, Fraction)):
-            c = self.ring.from_rational(c)
         return PseudoPoly(self, {(i, j): c})
 
     def from_terms(self, triples) -> PseudoPoly:
-        out = {}
-        for i, j, c in triples:
-            if isinstance(c, (int, Fraction)):
-                c = self.ring.from_rational(c)
-            out[(i, j)] = out.get((i, j), self.ring.zero) + c
-        return PseudoPoly(self, out)
+        return PseudoPoly(self, (((i, j), c) for i, j, c in triples))
 
     def q_power(self, n: int):
         while len(self._qpow) <= n:
@@ -156,7 +145,7 @@ class QWeyl(SparsePolyRing):
                 for (m, n), w in self._shift(j1, i2).items():
                     key = (i1 + m, n + j2)
                     out[key] = out.get(key, ring.zero) + c * w
-        return PseudoPoly(self, out)
+        return self.zero._like({k: c for k, c in out.items() if c})
 
     def normalize(self, words) -> PseudoPoly:
         """Free-word oracle: rewrite one adjacent yx at a time.
@@ -169,11 +158,7 @@ class QWeyl(SparsePolyRing):
         """
         ring = self.ring
         out = {}
-        stack = []
-        for c, w in words:
-            if isinstance(c, (int, Fraction)):
-                c = ring.from_rational(c)
-            stack.append((c, w))
+        stack = [(ring.coerce(c), w) for c, w in words]
         while stack:
             c, w = stack.pop()
             pos = w.find("yx")
@@ -186,7 +171,7 @@ class QWeyl(SparsePolyRing):
             head, tail = w[:pos], w[pos + 2:]
             stack.append((c * self.q, head + "xy" + tail))
             stack.append((-c, head + tail))
-        return PseudoPoly(self, out)
+        return self.zero._like({k: c for k, c in out.items() if c})
 
     def commutator(self, a: PseudoPoly, b: PseudoPoly) -> PseudoPoly:
         return self.multiply(a, b) - self.multiply(b, a)

@@ -13,20 +13,21 @@ in the caller, so it raises TagMismatch instead of guessing.
 TruncSeries is generic over its coefficient ring, so the same container
 carries rational coefficients, rational-function coefficients, or whole
 algebra elements.  Every coefficient ring is a Ring: its zero, its one, the
-embedding of the rationals and, for SeriesRing and SparsePolyRing, its own
-inverse.  The elements answer the other questions themselves: bool(c) says
-c != 0.  SparsePoly, the sparse-polynomial core of the algebras built on
-this tower, sits next to the rings.  All equality is structural and exact;
-nothing here ever rounds, and hash agrees with == (a constant hashes as the
-scalar it equals).
+embedding of the rationals, coerce (the one way a value becomes a
+coefficient) and, for SeriesRing and SparsePolyRing, its own inverse.  The
+elements answer the other questions themselves: bool(c) says c != 0.
+SparsePoly, the sparse-polynomial core of the algebras built on this tower,
+sits next to the rings.  All equality is structural and exact; nothing here
+ever rounds, and hash agrees with == (a constant hashes as the scalar it
+equals).
 
 The rational layers run on integers.  UniPoly and TruncSeries over QQ store
 integer numerators over one positive denominator, reduced once per result;
 both multiply with the one convolution _convolve.  For a series the ring
 alone picks this form (ring is QQ); over any other ring the coefficients
-are kept as given.  TruncSeries.__mul__ is the one function behind every
-series product, over QQ too, because the benchmark tracer counts series
-products under that name.
+are kept as ring.coerce gives them.  TruncSeries.__mul__ is the one
+function behind every series product, over QQ too, because the benchmark
+tracer counts series products under that name.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 
 LAMBDA = "lambda"
@@ -701,6 +703,19 @@ class Ring:
     def from_rational(self, c):
         return self.zero + _fr(c)
 
+    def coerce(self, v):
+        """v as a coefficient: an element (here, a value of the type of zero)
+        as it is, any other integer or fraction through from_rational, and
+        TypeError for anything else.  A ring whose elements need more than
+        their type to belong overrides this; a value of another variable or
+        ring raises TagMismatch there.
+        """
+        if type(v) is type(self.zero):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return self.from_rational(v)
+        raise TypeError(f"cannot coerce {v!r} into {self!r}")
+
     def inv(self, a):
         """The inverse of a, for a ring that is a field."""
         if not a:
@@ -719,6 +734,14 @@ class RatFuncRing(Ring):
 
     def __init__(self, var: str):
         super().__init__(RatFunc.zero(var), f"QQ({var})")
+        self.var = var
+
+    def coerce(self, v):
+        """As Ring.coerce; a RatFunc or UniPoly in this variable belongs."""
+        if isinstance(v, (RatFunc, UniPoly)):
+            _check_tags(self.var, v.var)
+            return as_ratfunc(v, self.var)
+        return super().coerce(v)
 
     def __eq__(self, other):
         return isinstance(other, RatFuncRing) and self.name == other.name
@@ -727,21 +750,38 @@ class RatFuncRing(Ring):
         return hash(self.name)
 
 
+QQ_LAMBDA = RatFuncRing(LAMBDA)  # the scalars of the sphere and its ideal
+
+
 def _to_json(c):
     """The JSON form of a coefficient: its own to_json, else its str."""
     return c.to_json() if hasattr(c, "to_json") else str(c)
+
+
+def _coerced_terms(ring, terms) -> dict:
+    """The terms of a sparse element from a mapping or from (key, value)
+    pairs: each value through ring.coerce, the values of one key summed,
+    zeros dropped."""
+    out = {}
+    for k, c in terms.items() if isinstance(terms, dict) else terms:
+        c = ring.coerce(c)
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
 
 
 class SparsePoly:
     """Sparse polynomial sum c_m X^m over a coefficient Ring.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  This class
-    holds the linear structure shared by every such algebra.  A subclass
-    supplies its coefficient ring as ``ring``, a trusted constructor
-    ``_like(terms)`` that stores a dict of nonzero coefficients as given
-    (the default here suits a class with no state besides ``terms``), and
-    its own multiplication.  Integers, fractions and coefficients coerce to
-    constants.
+    holds the structure shared by every such algebra.  A subclass supplies
+    its coefficient ring as ``ring`` and a constructor that takes each
+    coefficient through ``ring.coerce`` (_coerced_terms).  Arithmetic builds
+    its results with ``_like(terms)``, the one trusted constructor: it
+    stores nonzero coefficients already in the ring as given, so the caller
+    drops zeros first.  Scalars coerce to constants, and scale on either
+    side of ``*``.  The core's product adds exponent tuples, the commutative
+    product of Poly2 and MultiPoly; PseudoPoly and SphereElement bring their
+    own.
 
     ``algebra`` is the context that products are taken in: None where the
     class alone fixes the product, a QWeyl for its pseudopolynomials.
@@ -767,18 +807,18 @@ class SparsePoly:
     def _coerce(self, other):
         """other as an element of this algebra, or NotImplemented.
 
-        An integer, a fraction or a coefficient c becomes the constant
-        ring.zero + c, so a coefficient in another variable raises
-        TagMismatch.
+        An element of another context raises ValueError.  Whatever
+        ring.coerce takes becomes the constant it gives, so a coefficient
+        in another variable raises TagMismatch.
         """
         if type(other) is type(self):
             if other.algebra is not self.algebra:
                 raise ValueError("element belongs to a different algebra context")
             return other
-        zero = self.ring.zero
-        if not isinstance(other, (int, Fraction, type(zero))):
+        try:
+            c = self.ring.coerce(other)
+        except TypeError:
             return NotImplemented
-        c = zero + other
         return self._like({self._one_key: c} if c else {})
 
     def is_zero(self) -> bool:
@@ -836,10 +876,22 @@ class SparsePoly:
         return (-self) + other
 
     def scale(self, c):
-        """c * self, for c a coefficient, an integer or a fraction."""
-        if isinstance(c, (int, Fraction)):
-            c = self.ring.from_rational(c)
+        """c * self, for c anything ring.coerce takes."""
+        c = self.ring.coerce(c)
         return self._like({k: u for k, v in self.terms.items() if (u := c * v)})
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return self.scale(other)
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+        return self._like({m: c for m, c in out.items() if c})
+
+    def __rmul__(self, other):
+        return self.scale(other)
 
     def degrees(self) -> set:
         """Set of graded degrees i - j present (deg x = 1, deg y = -1)."""
@@ -875,6 +927,14 @@ class SparsePolyRing(Ring):
     algebra: no caller needs those inverses.
     """
 
+    def coerce(self, v):
+        """As Ring.coerce; an element of this context belongs and a
+        coefficient becomes a constant."""
+        p = self.zero._coerce(v)
+        if p is NotImplemented:
+            raise TypeError(f"cannot coerce {v!r} into {self!r}")
+        return p
+
     def inv(self, a):
         c = a.terms.get(a._one_key)
         if c is None or len(a.terms) > 1:
@@ -895,7 +955,8 @@ class TruncSeries:
     numerators over one positive denominator ``denom`` that shares no
     factor with all of them, the form UniPoly has, so products are integer
     convolutions and sums integer loops, each reduced once.  Over any other
-    ring ``denom`` is None and ``_data`` holds the coefficients themselves.
+    ring ``denom`` is None and ``_data`` holds the coefficients themselves,
+    each taken through ``ring.coerce``.
     ``coeffs`` is the coefficient tuple either way (Fractions over QQ, rebuilt
     on each read); ``coefficient(k)`` reads one of them.
     """
@@ -912,6 +973,7 @@ class TruncSeries:
             cs, self.denom = _int_form(cs)
             cs.extend([0] * (order + 1 - len(cs)))
         else:
+            cs = [ring.coerce(c) for c in cs]
             cs.extend([ring.zero] * (order + 1 - len(cs)))
             self.denom = None
         self._data = tuple(cs)
@@ -1099,6 +1161,15 @@ class SeriesRing(Ring):
                          f"{base!r}[[hbar]]/(hbar^{order + 1})")
         self.base = base
         self.order = order
+
+    def coerce(self, v):
+        """As Ring.coerce; a series of this order over the base belongs."""
+        if isinstance(v, TruncSeries):
+            if v.order != self.order or v.ring != self.base:
+                raise TagMismatch(f"a series of order {v.order} over {v.ring!r} "
+                                  f"is not in {self!r}")
+            return v
+        return super().coerce(v)
 
     def inv(self, a: TruncSeries) -> TruncSeries:
         """Multiplicative inverse, defined when the constant term is a unit

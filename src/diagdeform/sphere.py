@@ -30,21 +30,17 @@ and is the reason the fourth puncture moves.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .scalars import (
     LAMBDA,
+    QQ_LAMBDA,
     RatFunc,
-    RatFuncRing,
     SparsePoly,
     SparsePolyRing,
     TruncSeries,
-    UniPoly,
-    as_ratfunc,
+    _coerced_terms,
 )
-
-LAM = RatFuncRing(LAMBDA)
 
 POLY, P0, P1, PL = "", "0", "1", "lambda"
 POLE_TAGS = (P0, P1, PL)
@@ -68,9 +64,9 @@ def _cross(tag1: str, m: int, tag2: str, n: int):
     three pole values are fixed once and for all.
     """
     if m == 0:
-        return {(tag2, n): LAM.one}
+        return {(tag2, n): QQ_LAMBDA.one}
     if n == 0:
-        return {(tag1, m): LAM.one}
+        return {(tag1, m): QQ_LAMBDA.one}
     key = (tag1, m, tag2, n)
     hit = _cross_cache.get(key)
     if hit is not None:
@@ -79,7 +75,7 @@ def _cross(tag1: str, m: int, tag2: str, n: int):
     out = {}
     for part, sign in ((_cross(tag1, m, tag2, n - 1), 1), (_cross(tag1, m - 1, tag2, n), -1)):
         for k, c in part.items():
-            out[k] = out.get(k, LAM.zero) + (inv * c if sign > 0 else -(inv * c))
+            out[k] = out.get(k, QQ_LAMBDA.zero) + (inv * c if sign > 0 else -(inv * c))
     out = {k: c for k, c in out.items() if not c.is_zero()}
     _cross_cache[key] = out
     return out
@@ -90,7 +86,7 @@ class SphereElement(SparsePoly):
 
     __slots__ = ()
 
-    ring = LAM
+    ring = QQ_LAMBDA
     _one_key = (POLY, 0)
 
     def __init__(self, poly=None, poles=None):
@@ -99,21 +95,12 @@ class SphereElement(SparsePoly):
             if tag not in POLE_TAGS:
                 raise ValueError(f"unknown pole tag {tag!r}")
             atoms += [((tag, m), c) for m, c in parts.items()]
-        self.terms = {}
-        for (tag, n), c in atoms:
+        for (tag, n), _ in atoms:
             if tag and n < 1:
                 raise ValueError("principal part orders start at 1")
             if n < 0:
                 raise ValueError("negative x-powers belong in the pole at 0")
-            c = as_ratfunc(c, LAMBDA)
-            if not c.is_zero():
-                self.terms[tag, n] = c
-
-    def _coerce(self, other):
-        """As the core's, and a polynomial in lambda is a constant."""
-        if isinstance(other, UniPoly):
-            other = RatFunc.from_poly(other)
-        return SparsePoly._coerce(self, other)
+        self.terms = _coerced_terms(QQ_LAMBDA, atoms)
 
     # ------------------------------------------------------------ constructors
 
@@ -156,10 +143,8 @@ class SphereElement(SparsePoly):
     # ------------------------------------------------------------- arithmetic
 
     def __mul__(self, other):
-        if isinstance(other, (RatFunc, UniPoly, int, Fraction)):
-            return self.scale(as_ratfunc(other, LAMBDA))
         if not isinstance(other, SphereElement):
-            return NotImplemented
+            return self.scale(other)
         out = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
@@ -168,11 +153,6 @@ class SphereElement(SparsePoly):
                     w = c * w
                     out[key] = out[key] + w if key in out else w
         return self._like({k: c for k, c in out.items() if not c.is_zero()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (RatFunc, UniPoly, int, Fraction)):
-            return self.scale(as_ratfunc(other, LAMBDA))
-        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -233,21 +213,21 @@ class SphereElement(SparsePoly):
 
 def _binom_to_x(p: RatFunc, j: int):
     """(x - p)^j expanded in x-powers, as a dict {k: coefficient}."""
-    return {t: as_ratfunc(comb(j, t), LAMBDA) * (-p) ** (j - t) for t in range(j + 1)}
+    return {t: (-p) ** (j - t) * comb(j, t) for t in range(j + 1)}
 
 
 def _atom_product(a, b) -> dict:
     """Normal form of the product of two basis atoms, as {atom: coefficient}."""
     (tag_a, n_a), (tag_b, n_b) = a, b
     if tag_a == tag_b:
-        return {(tag_a, n_a + n_b): LAM.one}
+        return {(tag_a, n_a + n_b): QQ_LAMBDA.one}
     if tag_a and tag_b:
         return _cross(tag_a, n_a, tag_b, n_b)
     (tag, m), k = (a, n_b) if tag_a else (b, n_a)
     p = _POLE_VALUE[tag]
     out = {}
     for i in range(k + 1):
-        w = as_ratfunc(comb(k, i), LAMBDA) * p ** (k - i)
+        w = p ** (k - i) * comb(k, i)
         if w.is_zero():
             continue
         if i < m:

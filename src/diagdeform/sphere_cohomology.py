@@ -26,7 +26,7 @@ from math import factorial
 
 import random
 
-from .scalars import LAMBDA, RatFunc, TruncSeries
+from .scalars import LAMBDA, RatFunc, TruncSeries, _fr
 from .sphere import (
     P0,
     P1,
@@ -236,9 +236,10 @@ def descended_pole_set(t) -> list:
     """Pole locations after rescaling the sphere coordinate by t.
 
     The punctures 0 and lambda are fixed as a set while 1 moves to 1/t;
-    t = 0 would collapse the picture and is refused.
+    t = 0 would collapse the picture and is refused.  t is an integer or a
+    fraction; text goes through parse_rational first.
     """
-    t = Fraction(t)
+    t = _fr(t)
     if t == 0:
         raise ZeroMultiplier("scaling parameter must be nonzero")
     return [str(Fraction(0)), str(1 / t), "lambda"]

@@ -61,7 +61,7 @@ from .scalars import (
     SparsePoly,
     SparsePolyRing,
     TruncSeries,
-    _fr,
+    _coerced_terms,
     exp_hbar,
 )
 
@@ -71,27 +71,19 @@ class NonCommutingDerivations(ValueError):
 
 
 class Poly2(SparsePoly):
-    """Commutative polynomials in x and y with rational coefficients."""
+    """Commutative polynomials in x and y with rational coefficients.
+
+    ``__init__``, ``__add__`` and ``__mul__`` are functions of Poly2's own,
+    so that per-layer traces tell its work apart from that of the other
+    sparse algebras; the last two only call the core's.
+    """
 
     __slots__ = ()
 
     ring = QQ
 
     def __init__(self, terms):
-        clean = {}
-        for (i, j), c in dict(terms).items():
-            c = _fr(c)
-            if c:
-                clean[(i, j)] = c
-        self.terms = clean
-
-    @classmethod
-    def _from_clean(cls, terms: dict) -> "Poly2":
-        """Trusted constructor for kernel results: a dict of nonzero
-        Fraction coefficients, stored as given."""
-        p = object.__new__(cls)
-        p.terms = terms
-        return p
+        self.terms = _coerced_terms(QQ, terms)
 
     @classmethod
     def zero(cls) -> "Poly2":
@@ -114,36 +106,18 @@ class Poly2(SparsePoly):
         return cls({(0, 1): 1})
 
     def __add__(self, other):
-        # A function of Poly2's own, so that per-layer traces tell its
-        # additions apart from those of the other sparse algebras.
         return SparsePoly.__add__(self, other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                if k in out:
-                    out[k] += c1 * c2
-                else:
-                    out[k] = c1 * c2
-        return Poly2._from_clean({k: c for k, c in out.items() if c})
-
-    __rmul__ = __mul__
+        return SparsePoly.__mul__(self, other)
 
     def dx(self) -> "Poly2":
-        return Poly2._from_clean(
-            {(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
+        return self._like({(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
 
     def dy(self) -> "Poly2":
-        return Poly2._from_clean(
-            {(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
+        return self._like({(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
 
 
 P2 = SparsePolyRing(Poly2.zero(), "QQ[x,y]")
@@ -169,7 +143,7 @@ def _common(levels):
 
 def _polys(levels) -> list:
     """Integer levels as Poly2s, one Fraction per monomial."""
-    return [Poly2._from_clean({k: Fraction(n, d) for k, n in nums.items()})
+    return [P2.zero._like({k: Fraction(n, d) for k, n in nums.items()})
             for nums, d in levels]
 
 

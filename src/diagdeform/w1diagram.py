@@ -46,11 +46,6 @@ class CutoffTooSmall(ValueError):
     """The working degree bound does not contain the input's support."""
 
 
-def _poly(terms) -> PseudoPoly:
-    return PseudoPoly(W1, {k: Fraction(c) if not isinstance(c, Fraction) else c
-                           for k, c in dict(terms).items()})
-
-
 def _max_degree(p: PseudoPoly) -> int:
     return max((i + j for (i, j) in p.terms), default=0)
 
@@ -61,8 +56,8 @@ class W1Cocycle:
     __slots__ = ("gamma_f", "gamma_g")
 
     def __init__(self, gamma_f, gamma_g):
-        self.gamma_f = gamma_f if isinstance(gamma_f, PseudoPoly) else _poly(gamma_f)
-        self.gamma_g = gamma_g if isinstance(gamma_g, PseudoPoly) else _poly(gamma_g)
+        self.gamma_f = gamma_f if isinstance(gamma_f, PseudoPoly) else PseudoPoly(W1, gamma_f)
+        self.gamma_g = gamma_g if isinstance(gamma_g, PseudoPoly) else PseudoPoly(W1, gamma_g)
 
     @classmethod
     def zero(cls) -> "W1Cocycle":
@@ -88,7 +83,7 @@ class W1Cocycle:
                 if not all(type(e) is int and e >= 0 for e in (i, j)):
                     raise ValueError(f"exponents are integers >= 0, not {i!r:.20}, {j!r:.20}")
                 terms[(i, j)] = parse_rational(c)
-            return _poly(terms)
+            return PseudoPoly(W1, terms)
 
         return cls(load(d.get("gammaF", [])), load(d.get("gammaG", [])))
 
@@ -113,9 +108,9 @@ class GaugeDatum:
     __slots__ = ("alpha", "beta", "chi")
 
     def __init__(self, alpha, beta, chi):
-        self.alpha = alpha if isinstance(alpha, PseudoPoly) else _poly(alpha)
-        self.beta = beta if isinstance(beta, PseudoPoly) else _poly(beta)
-        self.chi = chi if isinstance(chi, PseudoPoly) else _poly(chi)
+        self.alpha = alpha if isinstance(alpha, PseudoPoly) else PseudoPoly(W1, alpha)
+        self.beta = beta if isinstance(beta, PseudoPoly) else PseudoPoly(W1, beta)
+        self.chi = chi if isinstance(chi, PseudoPoly) else PseudoPoly(W1, chi)
         if any(j != 0 for (_, j) in self.alpha.terms):
             raise ValueError("alpha must be a polynomial in x alone")
         if any(i != 0 for (i, _) in self.beta.terms):
@@ -160,7 +155,7 @@ def kill_gamma_f(coc: W1Cocycle):
     chi = sum c_ij/(j+1) x^i y^(j+1) has [chi, x] = -gammaF, so the datum
     (0, 0, chi) does it; the second component picks up [chi, y].
     """
-    chi = _poly({(i, j + 1): c / (j + 1) for (i, j), c in coc.gamma_f.terms.items()})
+    chi = PseudoPoly(W1, {(i, j + 1): c / (j + 1) for (i, j), c in coc.gamma_f.terms.items()})
     witness = GaugeDatum(W1.zero, W1.zero, chi)
     out = apply_gauge(coc, witness)
     if not out.gamma_f.is_zero():
@@ -294,7 +289,7 @@ def membership_oracle(p: PseudoPoly, cutoff: int):
             # [x^i y, x] = -x^i, so keeping gammaF at zero costs alpha = -coeff x^i
             chi[(idx, 1)] = chi.get((idx, 1), Fraction(0)) + coeff
             alpha[(idx, 0)] = alpha.get((idx, 0), Fraction(0)) - coeff
-    witness = GaugeDatum(_poly(alpha), _poly(beta), _poly(chi))
+    witness = GaugeDatum(PseudoPoly(W1, alpha), PseudoPoly(W1, beta), PseudoPoly(W1, chi))
     if not apply_gauge(W1Cocycle(W1.zero, p), witness).is_zero():
         raise AssertionError("membership witness failed to kill the cocycle")
     return True, witness
@@ -324,7 +319,7 @@ def reduce(coc: W1Cocycle, cutoff: int) -> dict:
         for k, v in row.items():
             residual[k] = residual.get(k, Fraction(0)) - c * v
         residual = {k: v for k, v in residual.items() if v != 0}
-    representative = _poly(residual)
+    representative = PseudoPoly(W1, residual)
     accepted, payload = membership_oracle(killed.gamma_g, cutoff)
     full_witness = None
     if accepted:
@@ -425,8 +420,8 @@ def centralizer_check(maxdeg: int, trials: int = 10, seed: int = 17) -> bool:
                 return False
     rng = random.Random(seed)
     for _ in range(trials):
-        pure = _poly({(rng.randint(0, maxdeg), 0): rng.randint(1, 5)
-                      for _ in range(3)})
+        pure = PseudoPoly(W1, {(rng.randint(0, maxdeg), 0): rng.randint(1, 5)
+                               for _ in range(3)})
         if not W1.commutator(pure, W1.x).is_zero():
             return False
         mixed = pure + W1.monomial(rng.randint(0, maxdeg - 1), rng.randint(1, maxdeg))
@@ -442,15 +437,15 @@ def random_cocycle(rng: random.Random, maxdeg: int = 5) -> W1Cocycle:
             i = rng.randint(0, maxdeg)
             j = rng.randint(0, maxdeg - i)
             terms[(i, j)] = terms.get((i, j), Fraction(0)) + rng.randint(-3, 3)
-        return _poly(terms)
+        return PseudoPoly(W1, terms)
 
     return W1Cocycle(rand_poly(), rand_poly())
 
 
 def random_gauge(rng: random.Random, maxdeg: int = 5) -> GaugeDatum:
-    alpha = _poly({(rng.randint(0, maxdeg), 0): rng.randint(-3, 3)})
-    beta = _poly({(0, rng.randint(0, maxdeg)): rng.randint(-3, 3)})
-    chi = _poly({
+    alpha = PseudoPoly(W1, {(rng.randint(0, maxdeg), 0): rng.randint(-3, 3)})
+    beta = PseudoPoly(W1, {(0, rng.randint(0, maxdeg)): rng.randint(-3, 3)})
+    chi = PseudoPoly(W1, {
         (rng.randint(0, maxdeg // 2), rng.randint(0, maxdeg // 2)): rng.randint(-3, 3)
         for _ in range(2)
     })

@@ -77,7 +77,7 @@ def _hbar_slice(p: PseudoPoly, r: int, target: QWeyl) -> PseudoPoly:
         c = series.coefficient(r)
         if c:
             terms[key] = c
-    return PseudoPoly(target, terms)
+    return target.zero._like(terms)
 
 
 def _at_order(p: PseudoPoly, target: QWeyl, r: int) -> PseudoPoly:
@@ -86,7 +86,7 @@ def _at_order(p: PseudoPoly, target: QWeyl, r: int) -> PseudoPoly:
     terms = {}
     for key, c in p.terms.items():
         terms[key] = TruncSeries(ring.base, ring.order, [Fraction(0)] * r + [c])
-    return PseudoPoly(target, terms)
+    return target.zero._like(terms)
 
 
 def solve_z(order: int, _scramble: bool = False):

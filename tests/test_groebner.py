@@ -174,6 +174,9 @@ def test_deformation_witness():
     assert deformation_witness(1)["verdict"] == "EXCEPTIONAL"
     assert deformation_witness(0)["verdict"] == "EXCEPTIONAL"
     assert deformation_witness(Fraction(-1, 2))["verdict"] == "FIXED_BASIS"
+    for bad in ("1/2", 0.5):
+        with pytest.raises(TypeError):
+            deformation_witness(bad)
 
 
 def test_spoly_lcm_sanity():

@@ -12,7 +12,7 @@ import pytest
 
 from diagdeform.cli import _encode
 from diagdeform.groebner import MultiPoly
-from diagdeform.qweyl import PseudoPoly, classical, deformed, symbolic
+from diagdeform.qweyl import PseudoPoly, QWeyl, classical, deformed, symbolic
 from diagdeform.scalars import (
     LAMBDA,
     QQ,
@@ -30,6 +30,7 @@ from diagdeform.scalars import (
 )
 from diagdeform.sphere import P0, P1, PL, SPHERE, SphereElement
 from diagdeform.star import P2, Poly2
+from diagdeform.w1diagram import W1, GaugeDatum, W1Cocycle
 
 MIXED = [((2, 1), F(-3, 4)), ((0, 0), 5), ((1, 0), -1), ((0, 2), F(2, 3)), ((1, 1), 1)]
 MIXED_TEXT = "(5) + (2/3)*y^2 + (-1)*x + (1)*xy + (-3/4)*x^2y"
@@ -166,11 +167,17 @@ def test_printed_and_json_bytes_are_pinned(build, text, encoded):
 def test_one_core_and_one_ring_adapter():
     shared = {"is_zero", "__eq__", "__hash__", "__neg__", "__add__", "__sub__", "__rsub__",
               "scale"}
+    shared |= {"__rmul__", "_coerce", "_from_clean"}
     for cls in (Poly2, PseudoPoly, MultiPoly, SphereElement):
         # Poly2.__add__ is its own function so that the benchmark tracer can
         # count it; it only calls the core's.
         own = shared & set(vars(cls)) - ({"__add__"} if cls is Poly2 else set())
         assert not own, f"{cls.__name__} redefines {sorted(own)}"
+    # one trusted constructor, and one exponent-tuple product for Poly2 and
+    # MultiPoly (Poly2's own __mul__ only calls it, for the tracer)
+    algebras = (Poly2, PseudoPoly, MultiPoly, SphereElement)
+    assert {cls for cls in algebras if "_like" in vars(cls)} == {PseudoPoly}
+    assert "__mul__" not in vars(MultiPoly)
     for ring in (P2, SPHERE, classical(), symbolic(), deformed(2)):
         assert isinstance(ring, SparsePolyRing), ring
     # one Ring protocol: elements answer bool themselves, one from_rational,
@@ -182,6 +189,11 @@ def test_one_core_and_one_ring_adapter():
     classes = {cls for ring in rings for cls in type(ring).__mro__} - {object}
     assert not [cls for cls in classes if "is_zero" in vars(cls)]
     assert {cls for cls in classes if "from_rational" in vars(cls)} == {Ring}
+    # one coercion: Ring.coerce, overridden only by the rings whose members
+    # need more than their type to belong
+    assert "coerce" not in vars(QWeyl)
+    assert {cls for cls in classes if "coerce" in vars(cls)} == {
+        Ring, RatFuncRing, SeriesRing, SparsePolyRing}
     assert {cls for cls in classes if "inv" in vars(cls)} == {Ring, SparsePolyRing, SeriesRing}
 
 
@@ -195,6 +207,68 @@ def test_only_parse_rational_reads_text():
                 ring.from_rational(bad)
     with pytest.raises(TypeError):
         UniPoly(QVAR, ["1/2"])
+
+
+def _coefficient_entries():
+    """Every public way a value becomes a coefficient, as (name, take,
+    foreign, error): take(c) builds with c as a coefficient, and take(foreign)
+    raises error, for foreign a coefficient of another variable or ring."""
+    lam, q = RatFunc.gen(LAMBDA), RatFunc.gen(QVAR)
+    out = [
+        ("Poly2", lambda c: Poly2({(1, 0): c}), lam, TypeError),
+        ("Poly2.monomial", lambda c: Poly2.monomial(1, 1, c), lam, TypeError),
+        ("Poly2.scale", lambda c: Poly2.x().scale(c), lam, TypeError),
+        ("Poly2 *", lambda c: Poly2.x() * c, lam, TypeError),
+        ("* Poly2", lambda c: c * Poly2.x(), lam, TypeError),
+        ("MultiPoly", lambda c: MultiPoly({(1, 0, 0, 0): c}), q, TagMismatch),
+        ("MultiPoly.from_terms", lambda c: MultiPoly.from_terms([((0, 1, 0, 0), c)]), q,
+         TagMismatch),
+        ("MultiPoly.scale", lambda c: MultiPoly.variable("x").scale(c), q, TagMismatch),
+        ("MultiPoly *", lambda c: MultiPoly.variable("x") * c, q, TagMismatch),
+        ("* MultiPoly", lambda c: c * MultiPoly.variable("x"), q, TagMismatch),
+        ("SphereElement poly", lambda c: SphereElement(poly={1: c}), q, TagMismatch),
+        ("SphereElement poles", lambda c: SphereElement(poles={PL: {1: c}}), q, TagMismatch),
+        ("SphereElement.scale", lambda c: SphereElement.x_power(1).scale(c), q, TagMismatch),
+        ("SphereElement *", lambda c: SphereElement.x_power(1) * c, q, TagMismatch),
+        ("* SphereElement", lambda c: c * SphereElement.x_power(1), q, TagMismatch),
+        ("W1Cocycle gammaF", lambda c: W1Cocycle({(0, 1): c}, {}), lam, TypeError),
+        ("W1Cocycle gammaG", lambda c: W1Cocycle({}, {(0, 1): c}), lam, TypeError),
+        ("GaugeDatum alpha", lambda c: GaugeDatum({(1, 0): c}, {}, {}), lam, TypeError),
+        ("GaugeDatum beta", lambda c: GaugeDatum({}, {(0, 1): c}, {}), lam, TypeError),
+        ("GaugeDatum chi", lambda c: GaugeDatum({}, {}, {(1, 1): c}), lam, TypeError),
+        ("TruncSeries over P2", lambda c: TruncSeries(P2, 1, [c]), lam, TypeError),
+        ("TruncSeries over SPHERE", lambda c: TruncSeries(SPHERE, 1, [c]), q, TagMismatch),
+        ("TruncSeries over W1", lambda c: TruncSeries(W1, 1, [c]), lam, TypeError),
+    ]
+    # the foreign value of the deformed algebra is a series of another order
+    for name, W, foreign, error in (
+            ("classical", classical(), lam, TypeError),
+            ("symbolic", symbolic(), lam, TagMismatch),
+            ("deformed", deformed(2), TruncSeries(QQ, 3, [1, 1]), TagMismatch)):
+        out += [
+            (f"{name} PseudoPoly", lambda c, W=W: PseudoPoly(W, {(1, 1): c}), foreign, error),
+            (f"{name} monomial", lambda c, W=W: W.monomial(1, 1, c), foreign, error),
+            (f"{name} from_terms", lambda c, W=W: W.from_terms([(1, 1, c)]), foreign, error),
+            (f"{name} normalize", lambda c, W=W: W.normalize([(c, "yx")]), foreign, error),
+            (f"{name} coerce", lambda c, W=W: W.coerce(c), foreign, error),
+            (f"{name} scale", lambda c, W=W: W.x.scale(c), foreign, error),
+            (f"{name} *", lambda c, W=W: W.x * c, foreign, error),
+            (f"{name} * element", lambda c, W=W: c * W.x, foreign, error),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("take, foreign, error", [e[1:] for e in _coefficient_entries()],
+                         ids=[e[0] for e in _coefficient_entries()])
+def test_every_coefficient_goes_through_ring_coerce(take, foreign, error):
+    """No float, no text and no coefficient of another variable or ring is
+    stored: each raises where it comes in."""
+    take(1), take(F(1, 2))
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            take(bad)
+    with pytest.raises(error):
+        take(foreign)
 
 
 def test_elements_of_different_contexts_do_not_mix():

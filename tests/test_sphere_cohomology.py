@@ -133,3 +133,7 @@ def test_descended_pole_set():
     assert descended_pole_set(Fraction(-1, 3)) == ["0", "-3", "lambda"]
     with pytest.raises(ZeroMultiplier):
         descended_pole_set(0)
+    # text would skip parse_rational's size bounds and a float its exact value
+    for bad in ("3/7", 0.1):
+        with pytest.raises(TypeError):
+            descended_pole_set(bad)
