@@ -4,7 +4,8 @@ an exact sparse integer matrix.
 A diagram here is a contravariant functor from a finite category to
 finite-dimensional algebras with explicit structure constants.  The module
 builds the nerve of the category (non-degenerate simplices only), the
-simplicial cohomology of that nerve over QQ, and the total coboundary on
+simplicial cohomology of that nerve over QQ (once per category), and the
+total coboundary on
 diagram cochains
 
     (delta Gamma)^sigma = simplicial part + (-1)^(dim sigma) * Hochschild part,
@@ -136,6 +137,9 @@ class SmallCategory:
     Morphisms are named; the table must list g . f for every composable
     pair of non-identity morphisms whose composite is defined, and the
     constructor validates unit laws and associativity outright.
+
+    A category must not be mutated after construction:
+    simplicial_cohomology keeps its answers on it, one per maxdim.
     """
 
     def __init__(self, objects, morphisms, identities, compose_table):
@@ -144,6 +148,7 @@ class SmallCategory:
         self.identities = dict(identities)
         self._table = dict(compose_table)
         self._validate()
+        self._cohomology = {}
 
     def dom(self, f):
         return self.morphisms[f][0]
@@ -342,21 +347,23 @@ def nerve(cat: SmallCategory, maxdim: int) -> NerveData:
 
 
 def simplicial_cohomology(cat: SmallCategory, maxdim: int):
-    """Ranks of H^0 .. H^maxdim of the nerve with constant QQ coefficients."""
+    """Ranks of H^0 .. H^maxdim of the nerve with constant QQ coefficients.
+
+    The answer depends on the category alone, so it is computed once per
+    category and maxdim, from the nerve through dimension maxdim + 1, and
+    kept on the category; every call returns a fresh list.
+    """
     if maxdim < 0:
         raise ValueError("maxdim must be nonnegative")
-    data = nerve(cat, maxdim + 1)
-    ranks = []
-    for q in range(maxdim + 2):
-        if q == 0 or q > maxdim + 1 or not data.boundaries[q]:
-            ranks.append(0)
-        else:
-            M = data.boundaries[q]
-            ranks.append(len(rref(M, len(M[0]))[0]))
-    out = []
-    for q in range(maxdim + 1):
-        out.append(len(data.simplices[q]) - ranks[q + 1] - ranks[q])
-    return out
+    dims = cat._cohomology.get(maxdim)
+    if dims is None:
+        data = nerve(cat, maxdim + 1)
+        ranks = [0]
+        for M in data.boundaries[1:]:
+            ranks.append(len(rref(M, len(M[0]))[0]) if M and M[0] else 0)
+        dims = cat._cohomology[maxdim] = tuple(
+            len(data.simplices[q]) - ranks[q + 1] - ranks[q] for q in range(maxdim + 1))
+    return list(dims)
 
 
 # ------------------------------------------------------------ toy algebras

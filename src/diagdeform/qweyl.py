@@ -15,6 +15,12 @@ words one adjacent yx at a time and exists as an oracle: the tests insist
 the two agree on random words, and nothing in the fast route is trusted
 until that check passes.
 
+multiply and commutator (a*b and -b*a in one accumulator) share one kernel.
+Over QQ with q an integer, as at q = 1, it runs on integers: operands over
+the lcm of their denominators, integer block rules, and one Fraction per
+output key.  Over QQ(q) and QQ[[hbar]] the coefficients stay ring elements.
+normalize remains the oracle in every regime.
+
 The grading deg(x^i y^j) = i - j is preserved by multiplication since the
 defining relation is inhomogeneous only in the filtration sense; the degree
 zero part is the commutative subalgebra generated by xy.
@@ -25,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import (
+    ContextMismatch,
     QQ,
     QVAR,
     RatFunc,
@@ -34,6 +41,7 @@ from .scalars import (
     SparsePolyRing,
     UniPoly,
     _coerced_terms,
+    _int_form,
     one_plus_hbar,
 )
 
@@ -91,6 +99,7 @@ class QWeyl(SparsePolyRing):
         self.y = PseudoPoly(self, {(0, 1): ring.one})
         self._qpow = [ring.one]
         self._shift_cache = {}
+        self._int_shift_cache = {}
 
     def monomial(self, i: int, j: int, c=1) -> PseudoPoly:
         return PseudoPoly(self, {(i, j): c})
@@ -133,19 +142,45 @@ class QWeyl(SparsePolyRing):
         self._shift_cache[key] = out
         return out
 
+    def _int_shift(self, j: int, k: int):
+        """_shift(j, k) with int weights, for q an integer over QQ."""
+        key = (j, k)
+        cached = self._int_shift_cache.get(key)
+        if cached is None:
+            cached = self._int_shift_cache[key] = {
+                m: w.numerator for m, w in self._shift(j, k).items()}
+        return cached
+
+    def _accumulate(self, a: PseudoPoly, b: PseudoPoly, minus_ba: bool) -> PseudoPoly:
+        """a b, or a b - b a when minus_ba is set, in normal form: the one
+        kernel of multiply and commutator, on integers over QQ when q is an
+        integer, and on ring elements otherwise."""
+        if a.algebra is not self or b.algebra is not self:
+            raise ContextMismatch("operands from a different algebra context")
+        integral = self.ring is QQ and self.q.denominator == 1
+        if integral:
+            na, da = _int_form(a.terms.values())
+            nb, db = _int_form(b.terms.values())
+            ta, tb = list(zip(a.terms, na)), list(zip(b.terms, nb))
+            shift, zero = self._int_shift, 0
+        else:
+            ta, tb = a.terms.items(), b.terms.items()
+            shift, zero = self._shift, self.ring.zero
+        out = {}
+        for sign, tu, tv in ((1, ta, tb), (-1, tb, ta))[:1 + minus_ba]:
+            for (i1, j1), c1 in tu:
+                for (i2, j2), c2 in tv:
+                    c = c1 * c2 if sign > 0 else -(c1 * c2)
+                    for (m, n), w in shift(j1, i2).items():
+                        key = (i1 + m, n + j2)
+                        out[key] = out.get(key, zero) + c * w
+        if integral:
+            return self.zero._like({k: Fraction(v, da * db) for k, v in out.items() if v})
+        return self.zero._like({k: c for k, c in out.items() if c})
+
     def multiply(self, a: PseudoPoly, b: PseudoPoly) -> PseudoPoly:
         """Product in normal form via the block rewriting rule."""
-        if a.algebra is not self or b.algebra is not self:
-            raise ValueError("operands from a different algebra context")
-        ring = self.ring
-        out = {}
-        for (i1, j1), c1 in a.terms.items():
-            for (i2, j2), c2 in b.terms.items():
-                c = c1 * c2
-                for (m, n), w in self._shift(j1, i2).items():
-                    key = (i1 + m, n + j2)
-                    out[key] = out.get(key, ring.zero) + c * w
-        return self.zero._like({k: c for k, c in out.items() if c})
+        return self._accumulate(a, b, False)
 
     def normalize(self, words) -> PseudoPoly:
         """Free-word oracle: rewrite one adjacent yx at a time.
@@ -174,7 +209,8 @@ class QWeyl(SparsePolyRing):
         return self.zero._like({k: c for k, c in out.items() if c})
 
     def commutator(self, a: PseudoPoly, b: PseudoPoly) -> PseudoPoly:
-        return self.multiply(a, b) - self.multiply(b, a)
+        """[a, b] = a b - b a, both products summed in one accumulation."""
+        return self._accumulate(a, b, True)
 
 
 def symbolic() -> QWeyl:

@@ -25,9 +25,11 @@ The rational layers run on integers.  UniPoly and TruncSeries over QQ store
 integer numerators over one positive denominator, reduced once per result;
 both multiply with the one convolution _convolve.  For a series the ring
 alone picks this form (ring is QQ); over any other ring the coefficients
-are kept as ring.coerce gives them.  TruncSeries.__mul__ is the one
-function behind every series product, over QQ too, because the benchmark
-tracer counts series products under that name.
+are ring elements, which the validating constructor takes through
+ring.coerce.  Series arithmetic builds its results, in either form, with
+the one trusted constructor TruncSeries._make.  TruncSeries.__mul__ is the
+one function behind every series product, over QQ too, because the
+benchmark tracer counts series products under that name.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class ScalarError(ArithmeticError):
 
 class TagMismatch(ScalarError):
     """Arithmetic tried to mix two distinct variable tags."""
+
+
+class ContextMismatch(TagMismatch, ValueError):
+    """Arithmetic tried to mix elements of two algebra contexts."""
 
 
 class PoleAtZero(ScalarError):
@@ -807,13 +813,13 @@ class SparsePoly:
     def _coerce(self, other):
         """other as an element of this algebra, or NotImplemented.
 
-        An element of another context raises ValueError.  Whatever
+        An element of another context raises ContextMismatch.  Whatever
         ring.coerce takes becomes the constant it gives, so a coefficient
         in another variable raises TagMismatch.
         """
         if type(other) is type(self):
             if other.algebra is not self.algebra:
-                raise ValueError("element belongs to a different algebra context")
+                raise ContextMismatch("element belongs to a different algebra context")
             return other
         try:
             c = self.ring.coerce(other)
@@ -956,7 +962,8 @@ class TruncSeries:
     factor with all of them, the form UniPoly has, so products are integer
     convolutions and sums integer loops, each reduced once.  Over any other
     ring ``denom`` is None and ``_data`` holds the coefficients themselves,
-    each taken through ``ring.coerce``.
+    each taken through ``ring.coerce`` here; arithmetic, whose results are
+    in the ring already, builds them with ``_make``.
     ``coeffs`` is the coefficient tuple either way (Fractions over QQ, rebuilt
     on each read); ``coefficient(k)`` reads one of them.
     """
@@ -979,19 +986,20 @@ class TruncSeries:
         self._data = tuple(cs)
 
     @staticmethod
-    def _from_ints(order: int, ints: list, denom: int) -> "TruncSeries":
-        """Trusted constructor of a series over QQ: order + 1 integer
-        numerators over a positive denominator, reduced here."""
-        if denom != 1:
-            g = gcd(denom, *ints)
+    def _make(ring, order: int, data, denom=None) -> "TruncSeries":
+        """The one trusted constructor: order + 1 coefficients already in
+        ring, stored as given, or over QQ order + 1 integer numerators over
+        a positive denominator, reduced here."""
+        if denom is not None and denom != 1:
+            g = gcd(denom, *data)
             if g != 1:
-                ints = [c // g for c in ints]
+                data = [c // g for c in data]
                 denom //= g
         s = object.__new__(TruncSeries)
-        s.ring = QQ
+        s.ring = ring
         s.order = order
         s.denom = denom
-        s._data = tuple(ints)
+        s._data = tuple(data)
         return s
 
     @classmethod
@@ -1068,21 +1076,19 @@ class TruncSeries:
         return hash((self.order, self.denom, self._data))
 
     def __neg__(self):
-        if self.denom is None:
-            return TruncSeries(self.ring, self.order, [-c for c in self._data])
-        return TruncSeries._from_ints(self.order, [-c for c in self._data], self.denom)
+        return TruncSeries._make(self.ring, self.order, [-c for c in self._data], self.denom)
 
     def _plus(self, other, sign: int) -> "TruncSeries":
         """self + sign * other for sign 1 or -1, to the smaller order."""
         n = min(self.order, other.order)
         a, b = self._data, other._data
         if self.denom is None:
-            return TruncSeries(self.ring, n, [x + y for x, y in zip(a, b)] if sign > 0
-                               else [x - y for x, y in zip(a, b)])
+            return TruncSeries._make(self.ring, n, [x + y for x, y in zip(a, b)] if sign > 0
+                                     else [x - y for x, y in zip(a, b)])
         da, db = self.denom, other.denom
         d = da if da == db else lcm(da, db)
         fa, fb = d // da, sign * (d // db)
-        return TruncSeries._from_ints(n, [x * fa + y * fb for x, y in zip(a, b)], d)
+        return TruncSeries._make(QQ, n, [x * fa + y * fb for x, y in zip(a, b)], d)
 
     def __add__(self, other):
         if not isinstance(other, (TruncSeries, int, Fraction)):
@@ -1108,7 +1114,7 @@ class TruncSeries:
         if self.denom is not None:
             if a.count(0) < b.count(0):
                 a, b = b, a  # the sparser operand drives the outer loop
-            return TruncSeries._from_ints(n, _convolve(a, b, n), self.denom * other.denom)
+            return TruncSeries._make(QQ, n, _convolve(a, b, n), self.denom * other.denom)
         out = [self.ring.zero for _ in range(n + 1)]
         for i in range(n + 1):
             x = a[i]
@@ -1118,17 +1124,17 @@ class TruncSeries:
                 y = b[j]
                 if y:
                     out[i + j] = out[i + j] + x * y
-        return TruncSeries(self.ring, n, out)
+        return TruncSeries._make(self.ring, n, out)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "TruncSeries":
         if self.denom is None:
-            return TruncSeries(self.ring, self.order, [scalar * c for c in self._data])
+            scalar = self.ring.coerce(scalar)
+            return TruncSeries._make(self.ring, self.order, [scalar * c for c in self._data])
         scalar = _fr(scalar)
-        return TruncSeries._from_ints(
-            self.order, [c * scalar.numerator for c in self._data],
-            self.denom * scalar.denominator)
+        return TruncSeries._make(QQ, self.order, [c * scalar.numerator for c in self._data],
+                                 self.denom * scalar.denominator)
 
     def map_coeffs(self, fn, ring=None) -> "TruncSeries":
         return TruncSeries(ring or self.ring, self.order, [fn(c) for c in self.coeffs])
@@ -1209,15 +1215,15 @@ def _quotient(a, b, ring, n: int) -> TruncSeries:
                 acc -= P[k - i] * B[i] * pw[i - 1]
             P.append(acc)
         s = -1 if B[0] < 0 and n % 2 == 0 else 1  # the sign of B_0^(n+1)
-        return TruncSeries._from_ints(
-            n, [s * db * p * pw[n - k] for k, p in enumerate(P)], s * da * pw[n + 1])
+        return TruncSeries._make(
+            QQ, n, [s * db * p * pw[n - k] for k, p in enumerate(P)], s * da * pw[n + 1])
     out = []
     for k in range(n + 1):
         acc = a[k] if k < len(a) else ring.zero
         for i in range(1, min(k + 1, len(b))):
             acc = acc - out[k - i] * b[i]
         out.append(b0i * acc)
-    return TruncSeries(ring, n, out)
+    return TruncSeries._make(ring, n, out)
 
 
 def series_expand(f: RatFunc, order: int) -> TruncSeries:

@@ -375,7 +375,7 @@ def star(a: Poly2, b: Poly2, spec: StarSpec, order: int):
     if order < 0:
         raise ValueError("negative truncation order")
     levels, exact = _star_kernel(_levels([a]), _levels([b]), spec, order, flag=True)
-    return TruncSeries(P2, order, _polys(levels)), exact
+    return TruncSeries._make(P2, order, _polys(levels)), exact
 
 
 def star_commutator(a: Poly2, b: Poly2, spec: StarSpec, order: int) -> TruncSeries:
@@ -391,7 +391,7 @@ def star_series(A: TruncSeries, B: TruncSeries, spec: StarSpec, order: int) -> T
     order = min(A.order, B.order, order)
     levels, _ = _star_kernel(_levels(A.coeffs[:order + 1]), _levels(B.coeffs[:order + 1]),
                              spec, order)
-    return TruncSeries(P2, order, _polys(levels))
+    return TruncSeries._make(P2, order, _polys(levels))
 
 
 def embed(a: Poly2, order: int) -> TruncSeries:

@@ -22,7 +22,10 @@ a gauge witness or a dual-vector certificate of non-membership; reduce
 projects onto the complement of the gauge span to produce a canonical
 representative.  The span depends on the cutoff alone, so both eliminate
 it once per cutoff (_gauge_factor) and apply the stored result to each
-input.  The oracle is the ground truth here.  Two reference
+input, the oracle as integer rows over a row denominator against the
+input's integer numerators.  Every witness and certificate is checked again
+through the q-Weyl product, not the closed form [chi, x] = -d chi/dy that
+_gauge_generators encodes.  The oracle is the ground truth here.  Two reference
 descriptions of the surviving classes are in circulation, differing on
 whether the pure powers x^i survive; the oracle finds they do not (chi =
 x^(i+1)/(i+1) kills them without touching gammaF), and basis_report
@@ -37,7 +40,7 @@ from typing import NamedTuple
 
 from .linalg import rref
 from .qweyl import PseudoPoly, classical
-from .scalars import parse_rational
+from .scalars import _int_form, parse_rational
 
 W1 = classical()
 
@@ -144,8 +147,8 @@ class GaugeDatum:
 
 def apply_gauge(coc: W1Cocycle, g: GaugeDatum) -> W1Cocycle:
     """Move a cocycle by a gauge datum."""
-    new_f = coc.gamma_f - (g.alpha - W1.commutator(g.chi, W1.x))
-    new_g = coc.gamma_g - (g.beta - W1.commutator(g.chi, W1.y))
+    new_f = coc.gamma_f - g.alpha + W1.commutator(g.chi, W1.x)
+    new_g = coc.gamma_g - g.beta + W1.commutator(g.chi, W1.y)
     return W1Cocycle(new_f, new_g)
 
 
@@ -193,10 +196,6 @@ def _gauge_generators(cutoff: int):
     return gens
 
 
-def _pairing(dual, img) -> Fraction:
-    return sum((dual[s] * v for s, v in img.items() if s in dual), Fraction(0))
-
-
 def _check_cutoff(cutoff: int) -> None:
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
@@ -207,9 +206,11 @@ class _GaugeFactor(NamedTuple):
 
     gens are the generators (columns of A, rows of the span matrix); pivots
     and transform come from rref([A | I]) with A the slots-by-generators
-    matrix, transform being its row transform T as {slot: value} rows in
-    slot order; span holds the (pivot slot, reduced row) pairs that reduce
-    projects with.  Callers read these and never hand them out unless copied.
+    matrix, transform being its row transform T as integer rows, each a
+    (denominator, {slot: numerator}) pair with the numerators in slot order
+    and the denominator the lcm of the row's; span holds the (pivot slot,
+    reduced row) pairs that reduce projects with.  Callers read these and
+    never hand them out unless copied.
     """
 
     gens: list
@@ -241,7 +242,8 @@ def _gauge_factor(cutoff: int) -> _GaugeFactor:
     pivots, rows = rref([[img.get(s, zero) for _, img in gens]
                          + [one if k == i else zero for k in range(len(slots))]
                          for i, s in enumerate(slots)], n)
-    transform = [{s: v for s, v in zip(slots, row[n:]) if v} for row in rows]
+    transform = [(den, {s: v for s, v in zip(slots, nums) if v})
+                 for nums, den in (_int_form(row[n:]) for row in rows)]
     span_pivots, span_rows = rref([[img.get(s, zero) for s in slots]
                                    for _, img in gens], len(slots))
     span = [(slots[c], {s: v for s, v in zip(slots, span_rows[r]) if v})
@@ -264,31 +266,37 @@ def membership_oracle(p: PseudoPoly, cutoff: int):
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
     factor = _gauge_factor(cutoff)
     gens = factor.gens
-    tb = [_pairing(row, p.terms) for row in factor.transform]
+    # T b for b = p, as integers: row r of T pairs with p's numerators to
+    # tb[r] / (den_r * pd)
+    nums, pd = _int_form(p.terms.values())
+    pn = dict(zip(p.terms, nums))
+    tb = [sum([v * pn[s] for s, v in row.items() if s in pn])
+          for _, row in factor.transform]
     bad = next((r for r in range(len(factor.pivots), len(tb)) if tb[r]), None)
     if bad is not None:
-        dual = dict(factor.transform[bad])
-        if not _pairing(dual, p.terms) or any(_pairing(dual, img) for _, img in gens):
+        den, row = factor.transform[bad]
+        dual = {s: Fraction(v, den) for s, v in row.items()}
+        if (not sum(dual[s] * c for s, c in p.terms.items() if s in dual)
+                or any(sum(dual[s] * v for s, v in img.items() if s in dual)
+                       for _, img in gens)):
             raise AssertionError("non-membership certificate failed to separate")
         return False, dual
-    sol = [Fraction(0)] * len(gens)
-    for r, c in factor.pivots:
-        sol[c] = tb[r]
     beta = {}
     chi = {}
     alpha = {}
-    for coeff, (label, _) in zip(sol, gens):
-        if coeff == 0:
+    for r, c in factor.pivots:
+        if not tb[r]:
             continue
-        kind, idx = label
+        coeff = Fraction(tb[r], factor.transform[r][0] * pd)
+        kind, idx = gens[c][0]
         if kind == "beta":
-            beta[(0, idx)] = beta.get((0, idx), Fraction(0)) + coeff
+            beta[(0, idx)] = coeff
         elif kind == "chi_x":
-            chi[(idx, 0)] = chi.get((idx, 0), Fraction(0)) + coeff
+            chi[(idx, 0)] = coeff
         else:
             # [x^i y, x] = -x^i, so keeping gammaF at zero costs alpha = -coeff x^i
-            chi[(idx, 1)] = chi.get((idx, 1), Fraction(0)) + coeff
-            alpha[(idx, 0)] = alpha.get((idx, 0), Fraction(0)) - coeff
+            chi[(idx, 1)] = coeff
+            alpha[(idx, 0)] = -coeff
     witness = GaugeDatum(PseudoPoly(W1, alpha), PseudoPoly(W1, beta), PseudoPoly(W1, chi))
     if not apply_gauge(W1Cocycle(W1.zero, p), witness).is_zero():
         raise AssertionError("membership witness failed to kill the cocycle")

@@ -92,6 +92,62 @@ def test_simplicial_cohomology_ranks():
     assert simplicial_cohomology(SmallCategory.chain(2), 2) == [1, 0, 0]
 
 
+_NAMED_CATEGORIES = {
+    "arrow": SmallCategory.arrow,
+    "parallel_pair": SmallCategory.parallel_pair,
+    "cospan": SmallCategory.cospan,
+    "chain(2)": lambda: SmallCategory.chain(2),
+    "chain(3)": lambda: SmallCategory.chain(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_CATEGORIES))
+def test_simplicial_cohomology_matches_sympy_ranks(name):
+    # dim H^q = #q-simplices - rank d_(q+1) - rank d_q, with the ranks of
+    # the nerve's boundary matrices taken by sympy
+    sympy = pytest.importorskip("sympy")
+    cat = _NAMED_CATEGORIES[name]()
+    data = nerve(cat, 5)
+
+    def rank(q):
+        M = data.boundaries[q]
+        return sympy.Matrix(M).rank() if q and M and M[0] else 0
+
+    expected = [len(data.simplices[q]) - rank(q + 1) - rank(q) for q in range(5)]
+    assert simplicial_cohomology(cat, 4) == expected
+    # the second answer comes from the category's store and is the same
+    assert simplicial_cohomology(cat, 4) == expected
+
+
+def test_simplicial_cohomology_returns_a_fresh_list():
+    cat = SmallCategory.parallel_pair()
+    first = simplicial_cohomology(cat, 2)
+    first.append(7)
+    first[0] = 99
+    assert simplicial_cohomology(cat, 2) == [1, 1, 0]
+
+
+def test_simplicial_cohomology_builds_the_nerve_once_per_category(monkeypatch):
+    calls = []
+    real_nerve = diagram.nerve
+
+    def counted(cat, maxdim):
+        calls.append((cat, maxdim))
+        return real_nerve(cat, maxdim)
+
+    monkeypatch.setattr(diagram, "nerve", counted)
+    cat = SmallCategory.chain(3)
+    assert simplicial_cohomology(cat, 4) == [1, 0, 0, 0, 0]
+    assert calls == [(cat, 5)]
+    assert simplicial_cohomology(cat, 4) == [1, 0, 0, 0, 0]
+    assert calls == [(cat, 5)]
+    # another maxdim, or another category with the same shape, is its own answer
+    assert simplicial_cohomology(cat, 1) == [1, 0]
+    other = SmallCategory.chain(3)
+    assert simplicial_cohomology(other, 4) == [1, 0, 0, 0, 0]
+    assert calls == [(cat, 5), (cat, 2), (other, 5)]
+
+
 def test_toy_algebra_validation():
     ToyAlgebra.field()
     ToyAlgebra.diagonal(3)

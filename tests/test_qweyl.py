@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from diagdeform.qweyl import (
+    QWeyl,
     classical,
     commutator_divisibility,
     deformed,
@@ -13,7 +14,7 @@ from diagdeform.qweyl import (
     stirling_second,
     symbolic,
 )
-from diagdeform.scalars import QVAR, RatFunc, UniPoly
+from diagdeform.scalars import QQ, QVAR, RatFunc, UniPoly
 
 
 Q = RatFunc.gen(QVAR)
@@ -197,3 +198,68 @@ def test_foreign_context_rejected():
     W1, W2 = symbolic(), symbolic()
     with pytest.raises(ValueError):
         W1.multiply(W1.x, W2.y)
+
+
+def _fraction_element(W, rng, maxdeg, nterms):
+    """A random element whose coefficients are fractions, not integers."""
+    return W.from_terms(
+        (rng.randint(0, maxdeg), rng.randint(0, maxdeg),
+         Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 12)))
+        for _ in range(nterms))
+
+
+def _product_by_words(W, a, b):
+    """a * b from the free-word oracle, one word per pair of terms."""
+    return W.normalize([(c1 * c2, "x" * i1 + "y" * j1 + "x" * i2 + "y" * j2)
+                        for (i1, j1), c1 in a.terms.items()
+                        for (i2, j2), c2 in b.terms.items()])
+
+
+# integers over QQ at q = 1 and q = -3, ring elements at q = 2/3 and over QQ(q)
+_FRACTION_CONTEXTS = [
+    ("classical", classical),
+    ("q=2/3", lambda: QWeyl(QQ, Fraction(2, 3))),
+    ("q=-3", lambda: QWeyl(QQ, Fraction(-3))),
+    ("symbolic", symbolic),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in _FRACTION_CONTEXTS],
+                         ids=[n for n, _ in _FRACTION_CONTEXTS])
+def test_multiply_with_fraction_coefficients_matches_free_words(make):
+    W = make()
+    rng = random.Random(6143)
+    for _ in range(30):
+        a = _fraction_element(W, rng, 3, rng.randint(1, 4))
+        b = _fraction_element(W, rng, 3, rng.randint(1, 4))
+        assert W.multiply(a, b) == _product_by_words(W, a, b)
+
+
+@pytest.mark.parametrize("make", [m for _, m in _FRACTION_CONTEXTS],
+                         ids=[n for n, _ in _FRACTION_CONTEXTS])
+def test_commutator_is_the_difference_of_the_two_products(make):
+    W = make()
+    rng = random.Random(8209)
+    for _ in range(30):
+        a = _fraction_element(W, rng, 4, rng.randint(1, 4))
+        b = _fraction_element(W, rng, 4, rng.randint(1, 4))
+        assert W.commutator(a, b) == W.multiply(a, b) - W.multiply(b, a)
+        assert W.commutator(a, a).is_zero()
+
+
+def test_weyl_commutators_are_the_partial_derivatives():
+    # in W_1, [chi, x] = -d chi/dy and [chi, y] = d chi/dx, read off the
+    # exponents without any product
+    W = classical()
+    rng = random.Random(1501)
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            i = rng.randint(0, 8)
+            terms.append((i, rng.randint(0, 8 - i),
+                          Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+        chi = W.from_terms(terms)
+        minus_d_y = W.from_terms((i, j - 1, -j * c) for (i, j), c in chi.terms.items() if j)
+        d_x = W.from_terms((i - 1, j, i * c) for (i, j), c in chi.terms.items() if i)
+        assert W.commutator(chi, W.x) == minus_d_y
+        assert W.commutator(chi, W.y) == d_x

@@ -271,6 +271,18 @@ def test_every_coefficient_goes_through_ring_coerce(take, foreign, error):
         take(foreign)
 
 
+def test_another_context_is_a_tag_mismatch_and_a_value_error():
+    # like every ring, a QWeyl refuses a value of another ring with
+    # TagMismatch; the error is a ValueError too
+    W, V = classical(), classical()
+    for mix in (lambda: W.coerce(V.x), lambda: W.x + V.x, lambda: W.multiply(W.x, V.y),
+                lambda: W.commutator(V.x, W.y)):
+        with pytest.raises(TagMismatch):
+            mix()
+        with pytest.raises(ValueError):
+            mix()
+
+
 def test_elements_of_different_contexts_do_not_mix():
     a, b = classical(), classical()
     assert a.x != b.x

@@ -122,14 +122,33 @@ def test_membership_rechecks_a_corrupted_cached_factor(p, rows, monkeypatch):
     monkeypatch.setattr(w1diagram, "_FACTORS", {})
     factor = w1diagram._gauge_factor(6)
     rank = len(factor.pivots)
+    # the transform rows are (denominator, {slot: integer numerator}) pairs
     if rows == "below_rank":
-        for row in factor.transform[rank:]:
-            row.update({s: F(1) for s in w1diagram._slots(7)})
+        for _, row in factor.transform[rank:]:
+            row.update({s: 1 for s in w1diagram._slots(7)})
     else:
-        for row in factor.transform[:rank]:
+        for _, row in factor.transform[:rank]:
             row.update({s: 2 * v for s, v in row.items()})
     with pytest.raises(AssertionError):
         membership_oracle(W1.monomial(*p), 6)
+
+
+def test_membership_reads_each_transform_row_over_its_denominator(monkeypatch):
+    # the same rows written over three times their denominators give the
+    # same witnesses and the same certificates, value for value
+    monkeypatch.setattr(w1diagram, "_FACTORS", {})
+    targets = [W1.monomial(i, j, F(2, 3)) for i in range(5) for j in range(3)]
+    want = [membership_oracle(p, 6) for p in targets]
+    factor = w1diagram._gauge_factor(6)
+    factor.transform[:] = [(3 * den, {s: 3 * v for s, v in row.items()})
+                           for den, row in factor.transform]
+    for p, (ok, payload) in zip(targets, want):
+        got_ok, got = membership_oracle(p, 6)
+        assert got_ok == ok
+        if ok:
+            assert got.to_json() == payload.to_json()
+        else:
+            assert list(got.items()) == list(payload.items())
 
 
 def _oracle_by_direct_elimination(p, cutoff):
