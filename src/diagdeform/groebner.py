@@ -257,17 +257,14 @@ def buchberger(generators) -> GroebnerRun:
             minimal.append(g)
             minimal_leads.append(lm)
 
-    # inter-reduce tails to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            rest = minimal[:idx] + minimal[idx + 1:]
-            rest_leads = minimal_leads[:idx] + minimal_leads[idx + 1:]
-            r = normal_form(minimal[idx], rest, pivot_log, rest_leads).monic()
-            if r != minimal[idx]:
-                minimal[idx] = r
-                changed = True
+    # inter-reduce tails to the unique reduced basis in one pass: reducing an
+    # element modulo the others changes no lead, so a later element's
+    # reduction cannot make an earlier one reducible again (Cox, Little and
+    # O'Shea, Ideals, Varieties, and Algorithms, section 2.7, Theorem 5)
+    for idx in range(len(minimal)):
+        rest = minimal[:idx] + minimal[idx + 1:]
+        rest_leads = minimal_leads[:idx] + minimal_leads[idx + 1:]
+        minimal[idx] = normal_form(minimal[idx], rest, pivot_log, rest_leads).monic()
 
     basis = [g for _, g in sorted(zip(minimal_leads, minimal),
                                   key=lambda lg: degrevlex_key(lg[0]), reverse=True)]

@@ -1,6 +1,6 @@
-"""Exact Gauss-Jordan elimination over QQ, shared by every module that solves,
-ranks or projects: nerve cohomology in diagram, the gauge membership oracle
-and the gauge-span projection in w1diagram."""
+"""Exact Gauss-Jordan elimination over QQ, shared by every module that solves
+or ranks: nerve cohomology in diagram and the gauge membership oracle in
+w1diagram."""
 
 from __future__ import annotations
 

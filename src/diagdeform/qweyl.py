@@ -98,8 +98,10 @@ class QWeyl(SparsePolyRing):
         self.x = PseudoPoly(self, {(1, 0): ring.one})
         self.y = PseudoPoly(self, {(0, 1): ring.one})
         self._qpow = [ring.one]
+        # over QQ with q an integer the products run on integers, and the
+        # block rules carry int weights
+        self._integral = ring is QQ and q.denominator == 1
         self._shift_cache = {}
-        self._int_shift_cache = {}
 
     def monomial(self, i: int, j: int, c=1) -> PseudoPoly:
         return PseudoPoly(self, {(i, j): c})
@@ -123,33 +125,27 @@ class QWeyl(SparsePolyRing):
         """Normal form of y^j x^k as a dict of (i', j') -> coefficient.
 
         Recurses on y^j x = q^j x y^j - [j] y^(j-1) and caches per context.
+        The coefficients are ints in an integral context, ring elements
+        otherwise.
         """
+        integral = self._integral
         if j == 0 or k == 0:
-            return {(k, j): self.ring.one}
+            return {(k, j): 1 if integral else self.ring.one}
         key = (j, k)
         cached = self._shift_cache.get(key)
         if cached is not None:
             return cached
-        qj = self.q_power(j)
-        sub = self._shift(j, k - 1)
+        qj, mj, zero = self.q_power(j), self.qint(j), self.ring.zero
+        if integral:
+            qj, mj, zero = qj.numerator, mj.numerator, 0
         out = {}
-        for (a, b), c in sub.items():
-            out[(a + 1, b)] = out.get((a + 1, b), self.ring.zero) + qj * c
-        mj = self.qint(j)
+        for (a, b), c in self._shift(j, k - 1).items():
+            out[(a + 1, b)] = out.get((a + 1, b), zero) + qj * c
         for (a, b), c in self._shift(j - 1, k - 1).items():
-            out[(a, b)] = out.get((a, b), self.ring.zero) - mj * c
+            out[(a, b)] = out.get((a, b), zero) - mj * c
         out = {k2: v for k2, v in out.items() if v}
         self._shift_cache[key] = out
         return out
-
-    def _int_shift(self, j: int, k: int):
-        """_shift(j, k) with int weights, for q an integer over QQ."""
-        key = (j, k)
-        cached = self._int_shift_cache.get(key)
-        if cached is None:
-            cached = self._int_shift_cache[key] = {
-                m: w.numerator for m, w in self._shift(j, k).items()}
-        return cached
 
     def _accumulate(self, a: PseudoPoly, b: PseudoPoly, minus_ba: bool) -> PseudoPoly:
         """a b, or a b - b a when minus_ba is set, in normal form: the one
@@ -157,15 +153,14 @@ class QWeyl(SparsePolyRing):
         integer, and on ring elements otherwise."""
         if a.algebra is not self or b.algebra is not self:
             raise ContextMismatch("operands from a different algebra context")
-        integral = self.ring is QQ and self.q.denominator == 1
+        integral = self._integral
         if integral:
             na, da = _int_form(a.terms.values())
             nb, db = _int_form(b.terms.values())
-            ta, tb = list(zip(a.terms, na)), list(zip(b.terms, nb))
-            shift, zero = self._int_shift, 0
+            ta, tb, zero = list(zip(a.terms, na)), list(zip(b.terms, nb)), 0
         else:
-            ta, tb = a.terms.items(), b.terms.items()
-            shift, zero = self._shift, self.ring.zero
+            ta, tb, zero = a.terms.items(), b.terms.items(), self.ring.zero
+        shift = self._shift
         out = {}
         for sign, tu, tv in ((1, ta, tb), (-1, tb, ta))[:1 + minus_ba]:
             for (i1, j1), c1 in tu:

@@ -1058,6 +1058,8 @@ class TruncSeries:
         return TruncSeries.const(self.ring, self.order, self.ring.from_rational(other))
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return (

@@ -16,14 +16,16 @@ second component is spanned by the beta monomials y^j and by the chi
 monomials that keep gammaF at zero, namely x^i (acting by i x^(i-1)) and
 x^i y (acting by i x^(i-1) y, at the cost of a compensating alpha).
 
-Everything downstream is exact linear algebra over QQ on monomial slots:
-membership_oracle solves the resulting system outright and returns either
-a gauge witness or a dual-vector certificate of non-membership; reduce
-projects onto the complement of the gauge span to produce a canonical
-representative.  The span depends on the cutoff alone, so both eliminate
-it once per cutoff (_gauge_factor) and apply the stored result to each
-input, the oracle as integer rows over a row denominator against the
-input's integer numerators.  Every witness and certificate is checked again
+Each of those images is a single monomial, so the gauge span is the
+coordinate span of the slots they touch.  reduce reads its canonical
+representative off that directly: gammaG with those slots dropped.
+membership_oracle does not rely on the shape: it solves the resulting
+system outright by exact elimination over QQ and returns either a gauge
+witness or a dual-vector certificate of non-membership, so reduce's
+consistency flag compares the two readings.  Both depend on the cutoff
+alone and are computed once per cutoff (_gauge_factor); the oracle applies
+its row transform as integer rows over a row denominator to the input's
+integer numerators.  Every witness and certificate is checked again
 through the q-Weyl product, not the closed form [chi, x] = -d chi/dy that
 _gauge_generators encodes.  The oracle is the ground truth here.  Two reference
 descriptions of the surviving classes are in circulation, differing on
@@ -183,7 +185,8 @@ def _gauge_generators(cutoff: int):
     unit choice of the labelled parameter.  beta = y^j contributes y^j;
     chi = x^i contributes -i x^(i-1) with no alpha needed; chi = x^i y
     contributes -i x^(i-1) y and forces alpha = [chi, x] = -x^i, which is
-    available, so the generator is admissible.  Only the span matters for
+    available, so the generator is admissible.  Each image is a single
+    monomial, which reduce relies on.  Only the span matters for
     membership, but the signs matter for witness assembly.
     """
     gens = []
@@ -202,21 +205,21 @@ def _check_cutoff(cutoff: int) -> None:
 
 
 class _GaugeFactor(NamedTuple):
-    """Both eliminations of the gauge span at one cutoff.
+    """The gauge span at one cutoff, eliminated and read off.
 
-    gens are the generators (columns of A, rows of the span matrix); pivots
-    and transform come from rref([A | I]) with A the slots-by-generators
-    matrix, transform being its row transform T as integer rows, each a
-    (denominator, {slot: numerator}) pair with the numerators in slot order
-    and the denominator the lcm of the row's; span holds the (pivot slot,
-    reduced row) pairs that reduce projects with.  Callers read these and
-    never hand them out unless copied.
+    gens are the generators (columns of A); pivots and transform come from
+    rref([A | I]) with A the slots-by-generators matrix, transform being its
+    row transform T as integer rows, each a (denominator, {slot: numerator})
+    pair with the numerators in slot order and the denominator the lcm of
+    the row's; touched is the set of slots the generators' images occupy,
+    which span the gauge span since each image is one monomial.  Callers
+    read these and never hand them out unless copied.
     """
 
     gens: list
     pivots: list
     transform: list
-    span: list
+    touched: frozenset
 
 
 _FACTORS = {}
@@ -244,11 +247,8 @@ def _gauge_factor(cutoff: int) -> _GaugeFactor:
                          for i, s in enumerate(slots)], n)
     transform = [(den, {s: v for s, v in zip(slots, nums) if v})
                  for nums, den in (_int_form(row[n:]) for row in rows)]
-    span_pivots, span_rows = rref([[img.get(s, zero) for s in slots]
-                                   for _, img in gens], len(slots))
-    span = [(slots[c], {s: v for s, v in zip(slots, span_rows[r]) if v})
-            for r, c in span_pivots]
-    factor = _FACTORS[cutoff] = _GaugeFactor(gens, pivots, transform, span)
+    touched = frozenset(s for _, img in gens for s in img)
+    factor = _FACTORS[cutoff] = _GaugeFactor(gens, pivots, transform, touched)
     return factor
 
 
@@ -307,9 +307,10 @@ def reduce(coc: W1Cocycle, cutoff: int) -> dict:
     """Canonical representative of a cocycle class at the given cutoff.
 
     First gauges gammaF to zero, then projects gammaG onto the complement
-    of the gauge span (row reduction in graded lex order).  The result is
-    zero exactly when the membership oracle accepts; the report carries
-    both answers plus the oracle's witness or certificate, and flags the
+    of the gauge span, which drops the slots the span's monomials occupy.
+    The result is zero exactly when the membership oracle accepts; the
+    report carries both answers (their agreement is the consistent flag)
+    plus the oracle's witness or certificate, and flags the
     pure-x monomials whose vanishing separates the two reference readings
     of the surviving set.  Raises ValueError for a negative cutoff.
     """
@@ -319,15 +320,9 @@ def reduce(coc: W1Cocycle, cutoff: int) -> dict:
     ):
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
     killed, kill_witness = kill_gamma_f(coc)
-    residual = dict(killed.gamma_g.terms)
-    for pivot, row in _gauge_factor(cutoff).span:
-        c = residual.get(pivot)
-        if not c:
-            continue
-        for k, v in row.items():
-            residual[k] = residual.get(k, Fraction(0)) - c * v
-        residual = {k: v for k, v in residual.items() if v != 0}
-    representative = PseudoPoly(W1, residual)
+    touched = _gauge_factor(cutoff).touched
+    representative = killed.gamma_g._like(
+        {k: v for k, v in killed.gamma_g.terms.items() if k not in touched})
     accepted, payload = membership_oracle(killed.gamma_g, cutoff)
     full_witness = None
     if accepted:

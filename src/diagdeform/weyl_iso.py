@@ -89,43 +89,36 @@ def _at_order(p: PseudoPoly, target: QWeyl, r: int) -> PseudoPoly:
     return target.zero._like(terms)
 
 
-def solve_z(order: int, _scramble: bool = False):
+def solve_z(order: int):
     """Solve x*z - z*x = 1 in W_{1+hbar} through hbar^order.
 
     Returns the list [eta_1, ..., eta_order] of corrections over QQ, in the
-    gauge where no eta_r has a pure-x or constant component.  The final
-    residual is checked to vanish identically; anything else raises
-    UnsolvableOrder.
-
-    The _scramble flag reverses the order in which residual monomials are
-    processed.  The result must not depend on it (the correction is linear
-    monomial by monomial); the tests re-run with it set to confirm the gauge
-    really is a gauge.
+    gauge where no eta_r has a pure-x or constant component.  The residual
+    x*z - z*x - 1 is linear in z, so it is computed once and each new term
+    hbar^r eta_r adds [x, hbar^r eta_r] to it, which leaves the slices below
+    hbar^r alone; slice r must then vanish.  The final residual is computed
+    again in full and checked to vanish identically.  Any failure
+    raises UnsolvableOrder.
     """
     if order < 1:
         raise ValueError("need at least one order of hbar")
     W = deformed(order)
     W1 = classical()
     z = W.y
+    resid = W.commutator(W.x, z) - W.one
     etas = []
     for r in range(1, order + 1):
-        resid = W.x * z - z * W.x - W.one
-        for s in range(r):
-            if not _hbar_slice(resid, s, W1).is_zero():
-                raise UnsolvableOrder(f"residual reappeared at hbar^{s} < {r}")
         R = _hbar_slice(resid, r, W1)
-        items = sorted(R.terms.items())
-        if _scramble:
-            items.reverse()
-        corr = {}
-        for (i, j), c in items:
-            key = (i, j + 1)
-            corr[key] = corr.get(key, Fraction(0)) - c / (j + 1)
-        eta = PseudoPoly(W1, corr)
+        # residual monomial (i, j) feeds the correction key (i, j + 1) alone
+        eta = W1.zero._like({(i, j + 1): -c / (j + 1) for (i, j), c in R.terms.items()})
         if W1.commutator(W1.x, eta) != -R:
             raise UnsolvableOrder(f"correction at hbar^{r} does not cancel the residual")
         etas.append(eta)
-        z = z + _at_order(eta, W, r)
+        step = _at_order(eta, W, r)
+        resid = resid + W.commutator(W.x, step)
+        if not _hbar_slice(resid, r, W1).is_zero():
+            raise UnsolvableOrder(f"residual survives at hbar^{r} after its correction")
+        z = z + step
     final = W.x * z - z * W.x - W.one
     if not final.is_zero():
         raise UnsolvableOrder("truncated residual survives after all corrections")

@@ -27,6 +27,26 @@ W = MultiPoly.variable("w")
 ONE = MultiPoly.const(1)
 
 
+def _lead(g):
+    # degree reverse lexicographic, written out here rather than taken from
+    # the module: higher total degree wins, then the smaller exponent of the
+    # last variable on which two monomials differ
+    return max(g.terms, key=lambda m: (sum(m), [-e for e in reversed(m)]))
+
+
+def assert_reduced(basis):
+    """Every lead coefficient is 1 and no term of one element other than
+    its lead, nor that lead, is divisible by another element's lead."""
+    leads = [_lead(g) for g in basis]
+    for g, lead in zip(basis, leads):
+        assert g.terms[lead] == 1
+        for other in leads:
+            if other is lead:
+                continue
+            for m in g.terms:
+                assert not all(a <= b for a, b in zip(other, m)), (g, other)
+
+
 def test_degrevlex_basic_comparisons():
     x = (1, 0, 0, 0)
     y = (0, 1, 0, 0)
@@ -72,6 +92,7 @@ def test_buchberger_sphere_ideal_frozen_basis():
         Z * W + Z.scale((lam - 1).inverse()) - W.scale((lam - 1).inverse()),
     ]
     assert run.basis == expected
+    assert_reduced(run.basis)
     lead_set = {g.leading_monomial() for g in run.basis}
     assert lead_set == {
         (1, 1, 0, 0),
@@ -86,6 +107,7 @@ def test_buchberger_sphere_ideal_frozen_basis():
 def test_buchberger_is_input_order_invariant():
     gens = sphere_ideal()
     base = buchberger(gens).basis
+    assert_reduced(base)
     rng = random.Random(44)
     for _ in range(5):
         shuffled = gens[:]
@@ -96,7 +118,9 @@ def test_buchberger_is_input_order_invariant():
 def test_buchberger_tiny_cases():
     run = buchberger([X])
     assert run.basis == [X]
+    assert_reduced(run.basis)
     run = buchberger([X * Y - ONE, Y * Z - ONE])
+    assert_reduced(run.basis)
     # xy - 1 is redundant in the reduced basis: xy - 1 = y (x - z) + (yz - 1)
     assert run.basis == [Y * Z - ONE, X - Z]
     member = normal_form(X * Y - ONE, run.basis)
@@ -105,6 +129,7 @@ def test_buchberger_tiny_cases():
 
 def test_buchberger_records_pre_monic_leads():
     run = buchberger([(X * Y).scale(lam) - ONE])
+    assert_reduced(run.basis)
     assert run.basis == [X * Y - MultiPoly.const(lam.inverse())]
     assert lam in run.pre_monic_leads
 
@@ -161,9 +186,13 @@ def test_exceptional_values_sphere():
 
 
 def test_exceptional_values_simple_ideals():
-    exc = exceptional_values(buchberger([X * Y - ONE]))
+    run = buchberger([X * Y - ONE])
+    assert_reduced(run.basis)
+    exc = exceptional_values(run)
     assert exc["roots"] == []
-    exc = exceptional_values(buchberger([X.scale(lam) - ONE]))
+    run = buchberger([X.scale(lam) - ONE])
+    assert_reduced(run.basis)
+    exc = exceptional_values(run)
     assert exc["roots"] == [Fraction(0)]
 
 
@@ -207,3 +236,20 @@ def test_buchberger_matches_sympy_groebner():
     theirs = [p.monic() for p in expected.polys]
     assert len(ours) == len(theirs) == 6
     assert all(p in theirs for p in ours)
+
+
+def test_buchberger_results_are_reduced():
+    # ideals whose minimal bases have tails that other leads divide, so the
+    # inter-reduction has work to do
+    ideals = [
+        sphere_ideal(),
+        [X * Y - Z, Y * Y - W, X * Z - ONE],
+        [X * X - Y.scale(lam), X * Y - ONE, Y * Z - W],
+        [X * Y * Z - W.scale(lam) - ONE, X * Y - Z, Z * W - X],
+        [(X - Y) * (Z - W.scale(lam)), X * Z - Y * W, Y * Y - Z],
+    ]
+    for gens in ideals:
+        run = buchberger(gens)
+        assert_reduced(run.basis)
+        for g in gens:
+            assert normal_form(g, run.basis).is_zero()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from diagdeform.qweyl import deformed
 from diagdeform.scalars import (
     HBAR,
     LAMBDA,
@@ -26,6 +27,7 @@ from diagdeform.scalars import (
     series_expand,
     specialize,
 )
+from diagdeform.sphere import SPHERE
 
 
 def rand_poly(rng, var, maxdeg=4):
@@ -189,6 +191,21 @@ def test_series_over_qq_keep_their_reported_form():
     # a constant series hashes as its constant term
     assert hash(TruncSeries.const(QQ, 4, Fraction(3, 2))) == hash(Fraction(3, 2))
     assert hash(TruncSeries.zero(QQ, 2)) == hash(0)
+
+
+def test_constant_series_equals_its_scalar():
+    for ring in (QQ, SPHERE):
+        one = TruncSeries.one(ring, 3)
+        assert one == 1 and 1 == one and not one != 1
+        assert one != 2 and one != Fraction(1, 2)
+        assert TruncSeries.const(ring, 3, Fraction(1, 2)) == Fraction(1, 2)
+        assert TruncSeries.zero(ring, 2) == 0 and not TruncSeries.zero(ring, 2) != 0
+        assert TruncSeries.hbar(ring, 3) != 0 and TruncSeries(ring, 3, [1, 1]) != 1
+        # one key in a set or dict, since they hash alike
+        assert len({one, 1}) == 1 and {one: "series"}[1] == "series"
+        assert len({TruncSeries.const(ring, 2, Fraction(3, 2)), Fraction(3, 2)}) == 1
+    # equality is transitive through the constant element of an algebra
+    assert deformed(3).one == TruncSeries.one(QQ, 3) == 1 == deformed(3).one
 
 
 def test_series_expand_refuses_other_variables():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from diagdeform.qweyl import deformed
+from diagdeform import weyl_iso
+from diagdeform.qweyl import QWeyl, deformed
 from diagdeform.scalars import HBAR, UniPoly, series_expand
 from diagdeform.weyl_iso import (
     ALTERNATE_ETA3,
@@ -59,10 +60,29 @@ def test_gauge_no_pure_x_and_no_constant():
         assert (0, 0) not in eta.terms
 
 
-def test_gauge_uniqueness_under_scrambled_processing():
-    plain = solve_z(10)
-    scrambled = solve_z(10, _scramble=True)
-    assert eta_tables(plain) == eta_tables(scrambled)
+def test_solver_updates_its_residual_instead_of_recomputing_it(monkeypatch):
+    # one commutator for the starting residual, then per order one update
+    # in W_{1+hbar} and one cancellation check over QQ, and two products for
+    # the final full recomputation: 1 + 2 * 12 + 2
+    calls = []
+    real = QWeyl._accumulate
+
+    def counted(self, a, b, minus_ba):
+        calls.append(minus_ba)
+        return real(self, a, b, minus_ba)
+
+    monkeypatch.setattr(QWeyl, "_accumulate", counted)
+    solve_z(12)
+    assert len(calls) == 27
+
+
+def test_solver_checks_each_order_after_its_correction(monkeypatch):
+    # embedding each correction one order too high still cancels the
+    # residual over QQ, but leaves slice r of the updated residual standing
+    real = weyl_iso._at_order
+    monkeypatch.setattr(weyl_iso, "_at_order", lambda p, target, r: real(p, target, r + 1))
+    with pytest.raises(weyl_iso.UnsolvableOrder, match=r"hbar\^1 after its correction"):
+        solve_z(3)
 
 
 def test_closed_form_small_orders():
