@@ -5,19 +5,17 @@ A diagram here is a contravariant functor from a finite category to
 finite-dimensional algebras with explicit structure constants.  The module
 builds the nerve of the category (non-degenerate simplices only), the
 simplicial cohomology of that nerve over QQ (once per category), and the
-total coboundary on
-diagram cochains
+total coboundary on diagram cochains
 
     (delta Gamma)^sigma = simplicial part + (-1)^(dim sigma) * Hochschild part,
 
 where the simplicial part twists the 0-th face by the module map T and the
-last face by the algebra map phi on arguments, exactly as the bicomplex
-requires.  Cochains are stored as tables of values on basis tuples.  The
-coboundary of degree n is linear and depends on the diagram alone, so
-coboundary_matrix builds it once per diagram and degree, as integer rows
-over one denominator read off the structure constants, the maps and the
-faces, and total_coboundary is one application of that matrix.  The
-multilinear expansions of single_morphism_coboundary and
+last face by the algebra map phi on arguments.  Cochains are tables of
+values on basis tuples.  The degree-n coboundary depends on the diagram
+alone, so coboundary_matrix reads it once per diagram and degree off the
+structure constants, the maps and the faces, as a linalg.IntRows, and
+total_coboundary is one IntRows.apply.  All matrix and vector arithmetic is
+linalg's.  The multilinear expansions of single_morphism_coboundary and
 hochschild_coboundary compute the same values a second way and serve as
 its oracle; delta^2 = 0 is checked on the nose.
 
@@ -40,10 +38,24 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from math import gcd, lcm
-from operator import mul
 
-from .linalg import rref
+from .linalg import (
+    IntRows,
+    identity,
+    mat_eq,
+    mat_mul,
+    mat_vec,
+    rref,
+    sparse_row,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+    zeros,
+)
 from .scalars import _fr
 
 __all__ = [
@@ -84,48 +96,6 @@ class TypeMismatch(ValueError):
 class OutsideBasis(ValueError):
     """A cochain component sits on a key that is not a non-degenerate
     simplex, or on an argument tuple outside the basis of its algebra."""
-
-
-# ----------------------------------------------------------- linear algebra
-
-_ZERO = Fraction(0)
-
-
-def _zeros(n):
-    return [Fraction(0)] * n
-
-
-def _vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-def _vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-def _vec_scale(c, u):
-    return [c * a for a in u]
-
-def _vec_is_zero(u):
-    return all(a == 0 for a in u)
-
-
-def _mat_vec(M, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in M]
-
-
-def _mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0]) if B else 0
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
-        for i in range(n)
-    ]
-
-
-def _identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def _mat_eq(A, B):
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
 # -------------------------------------------------------------- categories
@@ -231,40 +201,27 @@ class SmallCategory:
         return cls(objects, morphisms, identities, table)
 
     @classmethod
+    def _without_composites(cls, objects, arrows):
+        """The objects, an identity id_<object> on each, and the arrows
+        {name: (dom, cod)}, no two of which compose (the constructor raises
+        a missing composite otherwise)."""
+        ids = {obj: f"id_{obj}" for obj in objects}
+        return cls(objects, {**{i: (obj, obj) for obj, i in ids.items()}, **arrows}, ids, {})
+
+    @classmethod
     def arrow(cls):
         """One non-identity morphism u: B -> A."""
-        return cls(
-            ["A", "B"],
-            {"id_A": ("A", "A"), "id_B": ("B", "B"), "u": ("B", "A")},
-            {"A": "id_A", "B": "id_B"},
-            {},
-        )
+        return cls._without_composites(["A", "B"], {"u": ("B", "A")})
 
     @classmethod
     def parallel_pair(cls):
         """Two parallel arrows B -> A (no composable non-identity pairs)."""
-        return cls(
-            ["A", "B"],
-            {"id_A": ("A", "A"), "id_B": ("B", "B"), "u": ("B", "A"), "v": ("B", "A")},
-            {"A": "id_A", "B": "id_B"},
-            {},
-        )
+        return cls._without_composites(["A", "B"], {"u": ("B", "A"), "v": ("B", "A")})
 
     @classmethod
     def cospan(cls):
         """Two arrows into a common target: B -> A <- C."""
-        return cls(
-            ["A", "B", "C"],
-            {
-                "id_A": ("A", "A"),
-                "id_B": ("B", "B"),
-                "id_C": ("C", "C"),
-                "u": ("B", "A"),
-                "v": ("C", "A"),
-            },
-            {"A": "id_A", "B": "id_B", "C": "id_C"},
-            {},
-        )
+        return cls._without_composites(["A", "B", "C"], {"u": ("B", "A"), "v": ("C", "A")})
 
     @classmethod
     def chain(cls, length: int):
@@ -312,8 +269,8 @@ class NerveData:
     def boundary_squares_vanish(self) -> bool:
         """Whether every composite of consecutive boundary matrices is zero."""
         b = self.boundaries
-        return all(_vec_is_zero(row)
-                   for q in range(2, len(b)) for row in _mat_mul(b[q - 1], b[q]))
+        return all(vec_is_zero(row)
+                   for q in range(2, len(b)) for row in mat_mul(b[q - 1], b[q]))
 
 
 def nerve(cat: SmallCategory, maxdim: int) -> NerveData:
@@ -386,7 +343,7 @@ class ToyAlgebra:
         self._validate()
 
     def multiply(self, u, v):
-        out = _zeros(self.dim)
+        out = zeros(self.dim)
         for i, ci in enumerate(u):
             if not ci:
                 continue
@@ -401,7 +358,7 @@ class ToyAlgebra:
         return out
 
     def basis(self, i):
-        e = _zeros(self.dim)
+        e = zeros(self.dim)
         e[i] = Fraction(1)
         return e
 
@@ -454,7 +411,7 @@ class ToyAlgebra:
         entries = []
         for i in range(self.dim):
             for j in range(self.dim):
-                if not _vec_is_zero(self.table[i][j]):
+                if not vec_is_zero(self.table[i][j]):
                     entries.append([i, j, [str(c) for c in self.table[i][j]]])
         return {"dim": self.dim, "unit": [str(c) for c in self.unit], "table": entries}
 
@@ -466,12 +423,12 @@ def check_algebra_map(src: ToyAlgebra, dst: ToyAlgebra, matrix) -> None:
     """Raise InvalidMorphism unless matrix: src -> dst is a unital algebra map."""
     if len(matrix) != dst.dim or any(len(r) != src.dim for r in matrix):
         raise TypeMismatch(f"matrix shape is not {dst.dim} x {src.dim}")
-    if _mat_vec(matrix, src.unit) != dst.unit:
+    if mat_vec(matrix, src.unit) != dst.unit:
         raise InvalidMorphism("unit is not preserved")
     for i in range(src.dim):
         for j in range(src.dim):
-            lhs = _mat_vec(matrix, src.table[i][j])
-            rhs = dst.multiply(_mat_vec(matrix, src.basis(i)), _mat_vec(matrix, src.basis(j)))
+            lhs = mat_vec(matrix, src.table[i][j])
+            rhs = dst.multiply(mat_vec(matrix, src.basis(i)), mat_vec(matrix, src.basis(j)))
             if lhs != rhs:
                 raise InvalidMorphism(f"multiplicativity fails on basis pair ({i},{j})")
 
@@ -499,8 +456,8 @@ class DiagramOfAlgebras:
                 raise ValueError(f"no algebra assigned to object {obj!r}")
         for f, (a, b) in category.morphisms.items():
             if category.is_identity(f):
-                self.maps.setdefault(f, _identity(self.algebras[a].dim))
-                if not _mat_eq(self.maps[f], _identity(self.algebras[a].dim)):
+                self.maps.setdefault(f, identity(self.algebras[a].dim))
+                if not mat_eq(self.maps[f], identity(self.algebras[a].dim)):
                     raise InvalidMorphism(f"identity {f} must map to the identity matrix")
             else:
                 M = self.maps.get(f)
@@ -512,7 +469,7 @@ class DiagramOfAlgebras:
                 if category.cod(f) != category.dom(g):
                     continue
                 gf = category.compose(g, f)
-                if not _mat_eq(self.maps[gf], _mat_mul(self.maps[f], self.maps[g])):
+                if not mat_eq(self.maps[gf], mat_mul(self.maps[f], self.maps[g])):
                     raise InvalidMorphism(f"contravariance fails on {g} . {f}")
         self._coboundary_matrices = {}
 
@@ -540,18 +497,15 @@ class DiagramOfAlgebras:
     def transport(self, simplex_key):
         """rho_sigma: A(c sigma) -> A(d sigma), the composite of the maps."""
         if not isinstance(simplex_key, tuple) or not simplex_key:
-            return _identity(self.algebras[simplex_key].dim)
-        M = self.maps[simplex_key[0]]
-        for f in simplex_key[1:]:
-            M = _mat_mul(M, self.maps[f])
-        return M
+            return identity(self.algebras[simplex_key].dim)
+        return reduce(mat_mul, [self.maps[f] for f in simplex_key])
 
 
 def _normalize_table(table):
     return {
         tuple(args): [_fr(c) for c in vec]
         for args, vec in table.items()
-        if not _vec_is_zero(vec)
+        if not vec_is_zero(vec)
     }
 
 
@@ -627,7 +581,7 @@ class DiagramCochain:
                 table = {}
                 for args in _index_tuples(src.dim, p):
                     vec = [Fraction(rng.randint(-2, 2)) for _ in range(dst.dim)]
-                    if not _vec_is_zero(vec):
+                    if not vec_is_zero(vec):
                         table[args] = vec
                 if table:
                     components[key] = table
@@ -647,12 +601,7 @@ def _check_simplex(cat: SmallCategory, key):
 
 
 def _index_tuples(dim: int, arity: int):
-    if arity == 0:
-        return [()]
-    out = [()]
-    for _ in range(arity):
-        out = [t + (i,) for t in out for i in range(dim)]
-    return out
+    return list(product(range(dim), repeat=arity))
 
 
 def _hochschild(dst: ToyAlgebra, src: ToyAlgebra, rho, evaluate, p: int, args):
@@ -661,36 +610,34 @@ def _hochschild(dst: ToyAlgebra, src: ToyAlgebra, rho, evaluate, p: int, args):
     The src-bimodule structure on dst values goes through rho: the first
     and last arguments act after being pushed along rho.
     """
-    first = dst.multiply(_mat_vec(rho, args[0]), evaluate(args[1:]))
+    first = dst.multiply(mat_vec(rho, args[0]), evaluate(args[1:]))
     out = first
     for i in range(1, p):
         inner = src.multiply(args[i - 1], args[i])
         mid = evaluate(args[: i - 1] + (inner,) + args[i + 1 :])
-        out = _vec_add(out, _vec_scale(Fraction(-1) ** i, mid))
-    last = dst.multiply(evaluate(args[:-1]), _mat_vec(rho, args[-1]))
-    out = _vec_add(out, _vec_scale(Fraction(-1) ** p, last))
+        out = vec_add(out, vec_scale(Fraction(-1) ** i, mid))
+    last = dst.multiply(evaluate(args[:-1]), mat_vec(rho, args[-1]))
+    out = vec_add(out, vec_scale(Fraction(-1) ** p, last))
     return out
 
 
-class CoboundaryMatrix:
+class CoboundaryMatrix(IntRows):
     """The degree-n total coboundary of one diagram as a sparse integer matrix.
 
     Column j stands for the coordinate basis[j] = (simplex, args, m) of a
     degree-n cochain: coordinate m of its value on the basis tuple args;
-    columns[simplex][args] is the column of coordinate 0.  Each row is a
-    pair (cols, coefs) of integer numerators over the one positive
-    denominator.  The rows are the coordinates of the degree-(n + 1)
-    coboundary in simplex, argument-tuple and coordinate order: blocks
-    lists (simplex, dim, [(args, first row)]) for every value that can be
-    nonzero, and a value takes dim consecutive rows.
+    columns[simplex][args] is the column of coordinate 0.  The IntRows rows
+    are the coordinates of the degree-(n + 1) coboundary in simplex,
+    argument-tuple and coordinate order: blocks lists (simplex, dim,
+    [(args, first row)]) for every value that can be nonzero, and a value
+    takes dim consecutive rows.
     """
 
     def __init__(self, basis, columns, rows, blocks, denominator):
+        super().__init__(rows, denominator)
         self.basis = basis
         self.columns = columns
-        self.rows = rows
         self.blocks = blocks
-        self.denominator = denominator
 
 
 def coboundary_matrix(D: DiagramOfAlgebras, n: int) -> CoboundaryMatrix:
@@ -800,7 +747,7 @@ def _build_coboundary_matrix(D: DiagramOfAlgebras, n: int) -> CoboundaryMatrix:
                     j = own[idx[:-1]]
                     for k, m, c in right[idx[-1]]:
                         _add(acc[k], j + m, sign * c)
-                value = [_row(a) for a in acc]
+                value = [sparse_row(a.items()) for a in acc]
                 if any(cols for cols, _ in value):
                     items.append((idx, len(rows)))
                     rows.extend(value)
@@ -818,12 +765,6 @@ def _build_coboundary_matrix(D: DiagramOfAlgebras, n: int) -> CoboundaryMatrix:
 
 def _add(row, j, c):
     row[j] = row.get(j, 0) + c
-
-
-def _row(entries):
-    """{column: coefficient} as (cols, coefs) in column order, zeros dropped."""
-    pairs = sorted((j, c) for j, c in entries.items() if c)
-    return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
 
 
 def _actions(products, rho, s, t, scale):
@@ -847,15 +788,15 @@ def _actions(products, rho, s, t, scale):
     return left, right
 
 
-def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
-    """The bicomplex coboundary, one total degree up, as one application of
-    coboundary_matrix(gamma.diagram, gamma.degree).
+_ZERO = Fraction(0)
 
-    The entries of gamma are put over the lcm of their denominators, each
-    row is an integer dot product with them, and each nonzero output
-    coordinate becomes one Fraction.  single_morphism_coboundary and
-    hochschild_coboundary compute the same values by multilinear expansion
-    and serve as the oracle for this function.
+
+def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
+    """The bicomplex coboundary, one total degree up: one IntRows.apply of
+    coboundary_matrix(gamma.diagram, gamma.degree) to gamma's coordinates,
+    one Fraction per nonzero output coordinate.  single_morphism_coboundary
+    and hochschild_coboundary compute the same values by multilinear
+    expansion and serve as the oracle for this function.
     """
     D = gamma.diagram
     M = coboundary_matrix(D, gamma.degree)
@@ -865,10 +806,7 @@ def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
         for args, vec in table.items():
             j = cols[args]
             x[j : j + len(vec)] = vec
-    den = lcm(*[v.denominator for v in x])
-    x = [v.numerator * (den // v.denominator) for v in x]
-    vals = [sum(map(mul, coefs, map(x.__getitem__, cols))) for cols, coefs in M.rows]
-    den *= M.denominator
+    vals, den = M.apply(x)
     make = Fraction if den == 1 else (lambda t: Fraction(t, den))
     components = {}
     for key, dim, items in M.blocks:
@@ -886,7 +824,7 @@ def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
 
 
 def _table_evaluate(table, dim_out, args):
-    out = _zeros(dim_out)
+    out = zeros(dim_out)
     if not table:
         return out
 
@@ -895,7 +833,7 @@ def _table_evaluate(table, dim_out, args):
         if not rest:
             vec = table.get(tuple(prefix))
             if vec is not None:
-                out = _vec_add(out, _vec_scale(weight, vec))
+                out = vec_add(out, vec_scale(weight, vec))
             return
         for idx, c in enumerate(rest[0]):
             if c != 0:
@@ -911,11 +849,11 @@ def hochschild_coboundary(alg: ToyAlgebra, table, arity: int):
     for idx in _index_tuples(alg.dim, arity + 1):
         args = tuple(alg.basis(i) for i in idx)
         val = _hochschild(
-            alg, alg, _identity(alg.dim),
+            alg, alg, identity(alg.dim),
             lambda rest: _table_evaluate(table, alg.dim, rest),
             arity + 1, args,
         )
-        if not _vec_is_zero(val):
+        if not vec_is_zero(val):
             out[idx] = val
     return out
 
@@ -940,17 +878,17 @@ def single_morphism_coboundary(B: ToyAlgebra, A: ToyAlgebra, phi, gamma_b, gamma
     mixed = {}
     for idx in _index_tuples(B.dim, degree):
         args = tuple(B.basis(i) for i in idx)
-        val = _mat_vec(phi, _table_evaluate(gamma_b, B.dim, args))
-        moved = tuple(_mat_vec(phi, a) for a in args)
-        val = _vec_sub(val, _table_evaluate(gamma_a, A.dim, moved))
+        val = mat_vec(phi, _table_evaluate(gamma_b, B.dim, args))
+        moved = tuple(mat_vec(phi, a) for a in args)
+        val = vec_sub(val, _table_evaluate(gamma_a, A.dim, moved))
         if degree >= 1:
             hoch = _hochschild(
                 A, B, phi,
                 lambda rest: _table_evaluate(gamma_phi or {}, A.dim, rest),
                 degree, args,
             )
-            val = _vec_sub(val, hoch)
-        if not _vec_is_zero(val):
+            val = vec_sub(val, hoch)
+        if not vec_is_zero(val):
             mixed[idx] = val
     return db, da, mixed
 
@@ -1006,16 +944,12 @@ def diagram_algebra(B: ToyAlgebra, A: ToyAlgebra, phi) -> ToyAlgebra:
         vb, v1, v2 = v[:nb], v[nb : nb + na], v[nb + na :]
         b = B.multiply(ub, vb)
         a1 = A.multiply(u1, v1)
-        a2 = _vec_add(A.multiply(u1, v2), A.multiply(u2, _mat_vec(phi, vb)))
+        a2 = vec_add(A.multiply(u1, v2), A.multiply(u2, mat_vec(phi, vb)))
         return b + a1 + a2
 
-    def basis(i):
-        e = _zeros(dim)
-        e[i] = Fraction(1)
-        return e
-
-    table = [[mult(basis(i), basis(j)) for j in range(dim)] for i in range(dim)]
-    unit = list(B.unit) + list(A.unit) + _zeros(na)
+    e = identity(dim)
+    table = [[mult(e[i], e[j]) for j in range(dim)] for i in range(dim)]
+    unit = list(B.unit) + list(A.unit) + zeros(na)
     return ToyAlgebra(dim, table, unit)
 
 
@@ -1055,14 +989,10 @@ def triangle_check(alpha, beta, gamma_alpha, gamma_beta, gamma_theta) -> dict:
         raise TypeMismatch("gamma_beta must have the shape of beta")
     if len(gamma_theta) != nu or any(len(r) != nw for r in gamma_theta):
         raise TypeMismatch("gamma_theta must have the shape of beta . alpha")
-    lhs = _mat_mul(beta, gamma_alpha)
-    lhs = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(lhs, _mat_mul(gamma_beta, alpha))]
-    holds = _mat_eq(lhs, gamma_theta)
-    theta_zero = all(_vec_is_zero(r) for r in gamma_theta)
-    anti = None
-    if theta_zero:
-        anti = _mat_eq(
-            _mat_mul(beta, gamma_alpha),
-            [[-c for c in row] for row in _mat_mul(gamma_beta, alpha)],
-        )
+    lhs = list(map(vec_add, mat_mul(beta, gamma_alpha), mat_mul(gamma_beta, alpha)))
+    holds = mat_eq(lhs, gamma_theta)
+    theta_zero = all(vec_is_zero(r) for r in gamma_theta)
+    # with Gamma^theta = 0, beta Gamma^alpha = -Gamma^beta alpha is the
+    # condition itself, exactly
+    anti = holds if theta_zero else None
     return {"holds": holds, "theta_is_zero": theta_zero, "anticommutation": anti}

@@ -18,6 +18,7 @@ check raises instead of returning.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .scalars import LAMBDA, QQ_LAMBDA, RatFunc, SparsePoly, UniPoly, _coerced_terms, _fr
@@ -389,13 +390,9 @@ def exceptional_values(run: GroebnerRun):
     return {"roots": sorted(roots), "symbolic_factors": symbolic}
 
 
-_sphere_run_cache = {}
-
-
+@cache
 def sphere_run() -> GroebnerRun:
-    if "run" not in _sphere_run_cache:
-        _sphere_run_cache["run"] = buchberger(sphere_ideal())
-    return _sphere_run_cache["run"]
+    return buchberger(sphere_ideal())
 
 
 def deformation_witness(lam0):

@@ -1,10 +1,61 @@
-"""Exact Gauss-Jordan elimination over QQ, shared by every module that solves
-or ranks: nerve cohomology in diagram and the gauge membership oracle in
-w1diagram."""
+"""The exact linear-algebra core; no other module defines a matrix helper.
+
+Dense helpers take vectors as lists and matrices as lists of rows and use
+only + and * of the entries, which must commute, so they serve Fraction
+matrices in diagram and QQ(q) matrices in qweyl alike.  rref is exact
+Gauss-Jordan elimination over QQ, for nerve cohomology and the W_1 gauge
+membership oracle.  IntRows is the one sparse integer row format: the
+coboundary matrices and the gauge transform, each used through its apply.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
+from operator import mul
+
+from .scalars import _numerators
+
+_ZERO = Fraction(0)
+
+
+# ------------------------------------------------------------ dense helpers
+
+
+def zeros(n):
+    return [_ZERO] * n
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def vec_add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+def vec_sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+def vec_scale(c, u):
+    return [c * a for a in u]
+
+def vec_is_zero(u):
+    return all(a == 0 for a in u)
+
+
+def mat_vec(M, v):
+    # each sum starts from its first product, so that no rational zero meets
+    # the entries of another ring; Fraction 0 when there is no product
+    return [sum(terms, next(terms, _ZERO)) for terms in (map(mul, row, v) for row in M)]
+
+def mat_mul(A, B):
+    cols = list(zip(*B))
+    return [mat_vec(cols, row) for row in A]
+
+def mat_eq(A, B):
+    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
+
+
+# -------------------------------------------------------------- elimination
 
 
 def rref(rows, ncols: int):
@@ -16,7 +67,7 @@ def rref(rows, ncols: int):
     alongside.  Each column's pivot is the first nonzero row at or below the
     current rank, swapped into place; that rule fixes which dual functional a
     caller reads off an identity block.  Zero entries are skipped when scaling
-    and eliminating, which matters for the sparse rows the gauge span has.
+    and eliminating, which matters for the sparse rows of the gauge oracle.
 
     Returns (pivots, reduced rows), pivots being (row, column) pairs in column
     order; the rank is len(pivots).
@@ -37,3 +88,40 @@ def rref(rows, ncols: int):
                 m[i] = [u - f * v if v else u for u, v in zip(other, row)]
         pivots.append((r, c))
     return pivots, m
+
+
+# ------------------------------------------------------ sparse integer rows
+
+
+def sparse_row(pairs):
+    """(column, integer) pairs as a row (cols, coefs), zeros dropped."""
+    pairs = sorted((j, c) for j, c in pairs if c)
+    return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
+
+
+class IntRows:
+    """A sparse matrix as integer rows over one positive denominator.
+
+    rows[i] is a pair (cols, coefs) of tuples, cols increasing: row i holds
+    coefs[k] / denominator in column cols[k] and zero elsewhere.
+    """
+
+    def __init__(self, rows, denominator: int):
+        self.rows = rows
+        self.denominator = denominator
+
+    @classmethod
+    def from_rational(cls, rows) -> "IntRows":
+        """Dense rational rows over the lcm of all their denominators."""
+        nums, den = _numerators([v for row in rows for v in row])
+        it = iter(nums)
+        return cls([sparse_row(enumerate(islice(it, len(row)))) for row in rows], den)
+
+    def apply(self, x):
+        """This matrix times the rational vector x, a list of ints and
+        Fractions, on integers: (values, denominator), unreduced, with entry
+        i of the product values[i] / denominator."""
+        nums, den = _numerators(x)
+        get = nums.__getitem__
+        return ([sum(map(mul, coefs, map(get, cols))) for cols, coefs in self.rows],
+                den * self.denominator)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import identity, mat_eq, mat_mul
 from .scalars import (
     ContextMismatch,
     QQ,
@@ -41,7 +42,8 @@ from .scalars import (
     SparsePolyRing,
     UniPoly,
     _coerced_terms,
-    _int_form,
+    _fractions,
+    _numerators,
     one_plus_hbar,
 )
 
@@ -155,8 +157,8 @@ class QWeyl(SparsePolyRing):
             raise ContextMismatch("operands from a different algebra context")
         integral = self._integral
         if integral:
-            na, da = _int_form(a.terms.values())
-            nb, db = _int_form(b.terms.values())
+            na, da = _numerators(a.terms.values())
+            nb, db = _numerators(b.terms.values())
             ta, tb, zero = list(zip(a.terms, na)), list(zip(b.terms, nb)), 0
         else:
             ta, tb, zero = a.terms.items(), b.terms.items(), self.ring.zero
@@ -170,7 +172,7 @@ class QWeyl(SparsePolyRing):
                         key = (i1 + m, n + j2)
                         out[key] = out.get(key, zero) + c * w
         if integral:
-            return self.zero._like({k: Fraction(v, da * db) for k, v in out.items() if v})
+            return self.zero._like(_fractions(out, da * db))
         return self.zero._like({k: c for k, c in out.items() if c})
 
     def multiply(self, a: PseudoPoly, b: PseudoPoly) -> PseudoPoly:
@@ -314,24 +316,14 @@ def stirling_inverse_check(n: int) -> bool:
     first = stirling_first(n)
     second = stirling_second(n)
     A = [[ring.zero] * n for _ in range(n)]  # x^k y^k in terms of (xy)^m
-    B = [[ring.zero] * n for _ in range(n)]  # (xy)^m in terms of x^k y^k
     for k in range(1, n + 1):
         scale = (q ** (k * (k - 1) // 2)).inverse()
         for m, c in first[k].items():
             A[k - 1][m - 1] = scale * c
-    for m in range(1, n + 1):
-        for k, c in second[m].items():
-            B[m - 1][k - 1] = c
-    for X, Y in ((A, B), (B, A)):
-        for i in range(n):
-            for j in range(n):
-                acc = ring.zero
-                for t in range(n):
-                    acc = acc + X[i][t] * Y[t][j]
-                expect = ring.one if i == j else ring.zero
-                if acc != expect:
-                    return False
-    return True
+    B = [[second[m].get(k, ring.zero) for k in range(1, n + 1)]  # (xy)^m in x^k y^k
+         for m in range(1, n + 1)]
+    one = identity(n)
+    return mat_eq(mat_mul(A, B), one) and mat_eq(mat_mul(B, A), one)
 
 
 def commutator_divisibility(n: int):

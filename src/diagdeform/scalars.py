@@ -115,15 +115,20 @@ def _check_tags(a: str, b: str) -> None:
         raise TagMismatch(f"cannot mix variables {a!r} and {b!r}")
 
 
-def _int_form(coeffs) -> tuple:
+def _numerators(values) -> tuple:
     """Integers and fractions as (integer numerators, common denominator).
 
     The denominator is the lcm of theirs, so the numerators n * denom / d of
-    the c = n/d share no factor with it.
+    the c = n/d share no factor with it.  values is read twice (a list or a
+    dict view) and not type-checked: outside input goes through _fr first.
     """
-    cs = [_fr(c) for c in coeffs]
-    denom = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (denom // c.denominator) for c in cs], denom
+    denom = lcm(*[c.denominator for c in values])
+    return [c.numerator * (denom // c.denominator) for c in values], denom
+
+
+def _fractions(nums, denom) -> dict:
+    """{key: integer numerator} over denom as {key: Fraction}, zeros dropped."""
+    return {k: Fraction(n, denom) for k, n in nums.items() if n}
 
 
 def _convolve(a, b, n: int) -> list:
@@ -153,7 +158,7 @@ class UniPoly:
     __slots__ = ("var", "ints", "denom")
 
     def __init__(self, var: str, coeffs):
-        ints, denom = _int_form(coeffs)
+        ints, denom = _numerators([_fr(c) for c in coeffs])
         while ints and not ints[-1]:
             ints.pop()
         self.var = var
@@ -539,8 +544,10 @@ class RatFunc:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(self.var, other)
+        if isinstance(other, (int, Fraction)):  # canonically, n/d is (n,) over d, den 1
+            n = other.numerator
+            return (self.den.ints == (1,) and self.num.ints == ((n,) if n else ())
+                    and self.num.denom == other.denominator)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.var == other.var and self.num == other.num and self.den == other.den
@@ -977,7 +984,7 @@ class TruncSeries:
         self.ring = ring
         self.order = order
         if ring is QQ:
-            cs, self.denom = _int_form(cs)
+            cs, self.denom = _numerators([_fr(c) for c in cs])
             cs.extend([0] * (order + 1 - len(cs)))
         else:
             cs = [ring.coerce(c) for c in cs]
@@ -1058,10 +1065,12 @@ class TruncSeries:
         return TruncSeries.const(self.ring, self.order, self.ring.from_rational(other))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
+        # any coefficient is the constant series; +, - and * take rationals
         if not isinstance(other, TruncSeries):
-            return NotImplemented
+            try:
+                other = TruncSeries.const(self.ring, self.order, self.ring.coerce(other))
+            except (TypeError, TagMismatch):
+                return NotImplemented
         return (
             self.ring == other.ring
             and self.order == other.order
@@ -1207,8 +1216,8 @@ def _quotient(a, b, ring, n: int) -> TruncSeries:
     """
     b0i = ring.inv(b[0])
     if ring is QQ:
-        A, da = _int_form(a[: n + 1])
-        B, db = _int_form(b[: n + 1])
+        A, da = _numerators(a[: n + 1])
+        B, db = _numerators(b[: n + 1])
         pw = [B[0] ** e for e in range(n + 2)]
         P = []
         for k in range(n + 1):

@@ -30,6 +30,7 @@ and is the reason the fourth puncture moves.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 from .scalars import (
@@ -53,32 +54,24 @@ class NotInSubalgebra(ValueError):
     """An operation restricted to B = k[x, 1/x, 1/(x-1)] got a lambda pole."""
 
 
-_cross_cache = {}
-
-
+@cache
 def _cross(tag1: str, m: int, tag2: str, n: int):
     """Principal-part decomposition of 1/((x-p1)^m (x-p2)^n), p1 != p2.
 
-    Returns a dict {(tag, order): coefficient}.  Pure recurrence on the
-    two-pole identity, memoized globally; the cache is sound because the
-    three pole values are fixed once and for all.
+    Returns a dict {(tag, order): coefficient}, which callers only read.
+    Pure recurrence on the two-pole identity, memoized globally; the cache
+    is sound because the three pole values are fixed once and for all.
     """
     if m == 0:
         return {(tag2, n): QQ_LAMBDA.one}
     if n == 0:
         return {(tag1, m): QQ_LAMBDA.one}
-    key = (tag1, m, tag2, n)
-    hit = _cross_cache.get(key)
-    if hit is not None:
-        return hit
     inv = (_POLE_VALUE[tag1] - _POLE_VALUE[tag2]).inverse()
     out = {}
     for part, sign in ((_cross(tag1, m, tag2, n - 1), 1), (_cross(tag1, m - 1, tag2, n), -1)):
         for k, c in part.items():
             out[k] = out.get(k, QQ_LAMBDA.zero) + (inv * c if sign > 0 else -(inv * c))
-    out = {k: c for k, c in out.items() if not c.is_zero()}
-    _cross_cache[key] = out
-    return out
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
 class SphereElement(SparsePoly):

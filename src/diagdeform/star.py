@@ -62,6 +62,8 @@ from .scalars import (
     SparsePolyRing,
     TruncSeries,
     _coerced_terms,
+    _fractions,
+    _numerators,
     exp_hbar,
 )
 
@@ -125,12 +127,8 @@ P2 = SparsePolyRing(Poly2.zero(), "QQ[x,y]")
 
 def _levels(polys) -> list:
     """Each poly as an integer level: (numerators by monomial, denominator)."""
-    out = []
-    for p in polys:
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        out.append(({k: c.numerator * (den // c.denominator) for k, c in p.terms.items()},
-                    den))
-    return out
+    forms = [_numerators(p.terms.values()) for p in polys]
+    return [(dict(zip(p.terms, nums)), den) for p, (nums, den) in zip(polys, forms)]
 
 
 def _common(levels):
@@ -143,8 +141,7 @@ def _common(levels):
 
 def _polys(levels) -> list:
     """Integer levels as Poly2s, one Fraction per monomial."""
-    return [P2.zero._like({k: Fraction(n, d) for k, n in nums.items()})
-            for nums, d in levels]
+    return [P2.zero._like(_fractions(nums, d)) for nums, d in levels]
 
 
 def _check_commuting(derivations):

@@ -23,10 +23,10 @@ membership_oracle does not rely on the shape: it solves the resulting
 system outright by exact elimination over QQ and returns either a gauge
 witness or a dual-vector certificate of non-membership, so reduce's
 consistency flag compares the two readings.  Both depend on the cutoff
-alone and are computed once per cutoff (_gauge_factor); the oracle applies
-its row transform as integer rows over a row denominator to the input's
-integer numerators.  Every witness and certificate is checked again
-through the q-Weyl product, not the closed form [chi, x] = -d chi/dy that
+alone and are computed once per cutoff (_gauge_factor), the elimination's
+row transform T as a linalg.IntRows, so the oracle's T b is one
+IntRows.apply.  Every witness and certificate is checked again through the
+q-Weyl product, not the closed form [chi, x] = -d chi/dy that
 _gauge_generators encodes.  The oracle is the ground truth here.  Two reference
 descriptions of the surviving classes are in circulation, differing on
 whether the pure powers x^i survive; the oracle finds they do not (chi =
@@ -40,9 +40,9 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import rref
+from .linalg import IntRows, identity, rref
 from .qweyl import PseudoPoly, classical
-from .scalars import _int_form, parse_rational
+from .scalars import parse_rational
 
 W1 = classical()
 
@@ -209,16 +209,16 @@ class _GaugeFactor(NamedTuple):
 
     gens are the generators (columns of A); pivots and transform come from
     rref([A | I]) with A the slots-by-generators matrix, transform being its
-    row transform T as integer rows, each a (denominator, {slot: numerator})
-    pair with the numerators in slot order and the denominator the lcm of
-    the row's; touched is the set of slots the generators' images occupy,
-    which span the gauge span since each image is one monomial.  Callers
-    read these and never hand them out unless copied.
+    row transform T as IntRows; columns maps each slot to its column of T,
+    in slot order; touched is the set of slots the generators' images
+    occupy, which span the gauge span since each image is one monomial.
+    Callers read these and never hand them out unless copied.
     """
 
     gens: list
     pivots: list
-    transform: list
+    transform: IntRows
+    columns: dict
     touched: frozenset
 
 
@@ -239,16 +239,15 @@ def _gauge_factor(cutoff: int) -> _GaugeFactor:
     slots = _slots(cutoff + 1)
     gens = _gauge_generators(cutoff)
     n = len(gens)
-    zero, one = Fraction(0), Fraction(1)
+    zero = Fraction(0)
     # rows [A | I]: on slot s, the generator coefficients and a unit row, so
     # a zero row of A carries its combination of slots along
-    pivots, rows = rref([[img.get(s, zero) for _, img in gens]
-                         + [one if k == i else zero for k in range(len(slots))]
-                         for i, s in enumerate(slots)], n)
-    transform = [(den, {s: v for s, v in zip(slots, nums) if v})
-                 for nums, den in (_int_form(row[n:]) for row in rows)]
+    pivots, rows = rref([[img.get(s, zero) for _, img in gens] + unit
+                         for s, unit in zip(slots, identity(len(slots)))], n)
+    transform = IntRows.from_rational([row[n:] for row in rows])
+    columns = {s: j for j, s in enumerate(slots)}
     touched = frozenset(s for _, img in gens for s in img)
-    factor = _FACTORS[cutoff] = _GaugeFactor(gens, pivots, transform, touched)
+    factor = _FACTORS[cutoff] = _GaugeFactor(gens, pivots, transform, columns, touched)
     return factor
 
 
@@ -262,20 +261,19 @@ def membership_oracle(p: PseudoPoly, cutoff: int):
     """
     _check_cutoff(cutoff)
     p = W1.coerce(p)
-    if _max_degree(p) > cutoff and not p.is_zero():
+    if _max_degree(p) > cutoff:
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
     factor = _gauge_factor(cutoff)
-    gens = factor.gens
-    # T b for b = p, as integers: row r of T pairs with p's numerators to
-    # tb[r] / (den_r * pd)
-    nums, pd = _int_form(p.terms.values())
-    pn = dict(zip(p.terms, nums))
-    tb = [sum([v * pn[s] for s, v in row.items() if s in pn])
-          for _, row in factor.transform]
+    gens, columns, transform = factor.gens, factor.columns, factor.transform
+    b = [0] * len(columns)
+    for s, c in p.terms.items():
+        b[columns[s]] = c
+    tb, den = transform.apply(b)  # T b is tb / den
     bad = next((r for r in range(len(factor.pivots), len(tb)) if tb[r]), None)
     if bad is not None:
-        den, row = factor.transform[bad]
-        dual = {s: Fraction(v, den) for s, v in row.items()}
+        slots = list(columns)
+        cols, coefs = transform.rows[bad]
+        dual = {slots[j]: Fraction(v, transform.denominator) for j, v in zip(cols, coefs)}
         if (not sum(dual[s] * c for s, c in p.terms.items() if s in dual)
                 or any(sum(dual[s] * v for s, v in img.items() if s in dual)
                        for _, img in gens)):
@@ -287,7 +285,7 @@ def membership_oracle(p: PseudoPoly, cutoff: int):
     for r, c in factor.pivots:
         if not tb[r]:
             continue
-        coeff = Fraction(tb[r], factor.transform[r][0] * pd)
+        coeff = Fraction(tb[r], den)
         kind, idx = gens[c][0]
         if kind == "beta":
             beta[(0, idx)] = coeff
@@ -315,9 +313,7 @@ def reduce(coc: W1Cocycle, cutoff: int) -> dict:
     of the surviving set.  Raises ValueError for a negative cutoff.
     """
     _check_cutoff(cutoff)
-    if max(_max_degree(coc.gamma_f), _max_degree(coc.gamma_g)) > cutoff and not (
-        coc.gamma_f.is_zero() and coc.gamma_g.is_zero()
-    ):
+    if max(_max_degree(coc.gamma_f), _max_degree(coc.gamma_g)) > cutoff:
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
     killed, kill_witness = kill_gamma_f(coc)
     touched = _gauge_factor(cutoff).touched

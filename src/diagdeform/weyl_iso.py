@@ -40,6 +40,7 @@ the solver and the closed form always win.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .scalars import (
     HBAR,
@@ -193,25 +194,21 @@ def verify_closed_form(order: int) -> dict:
 # ------------------------------------------------------------ pole structure
 
 
-_CYCLO_CACHE: dict = {}
-
-
 def _divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+@cache
 def _cyclotomic(n: int) -> UniPoly:
     """The n-th cyclotomic polynomial (coefficients only; the variable tag
     is borrowed from hbar and immaterial)."""
-    if n not in _CYCLO_CACHE:
-        p = UniPoly(HBAR, [-1] + [0] * (n - 1) + [1])
-        for d in _divisors(n):
-            if d < n:
-                p, rem = divmod(p, _cyclotomic(d))
-                if not rem.is_zero():
-                    raise AssertionError(f"cyclotomic division left a remainder at n={n}")
-        _CYCLO_CACHE[n] = p
-    return _CYCLO_CACHE[n]
+    p = UniPoly(HBAR, [-1] + [0] * (n - 1) + [1])
+    for d in _divisors(n):
+        if d < n:
+            p, rem = divmod(p, _cyclotomic(d))
+            if not rem.is_zero():
+                raise AssertionError(f"cyclotomic division left a remainder at n={n}")
+    return p
 
 
 def _compose_at_one_plus_h(p: UniPoly) -> UniPoly:

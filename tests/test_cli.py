@@ -258,12 +258,35 @@ PINNED_REPORTS = [
      "2cf678bb0e18a82c009baab3e5df83cc883e2761f1b58523de0daa044cb0ad74"),
     (["sphere", "series-check", "--order", "12"],
      "3fc7d08217e2468a719d0d692ef8092e9f68815e2834250c38875e00317e1d38"),
+    # recorded before linalg became the one linear-algebra core; the w1
+    # reduce inputs are PINNED_INPUTS, written to the working directory
+    (["diagram", "nerve", "--shape", "chain3", "--maxdim", "4"],
+     "fc88225c49b4f53459b85b2148a9d3acfff8b8b3596729271989533df965171c"),
+    (["diagram", "delta2", "--shape", "cospan"],
+     "6ee176fb22cc8954388442f32763779e175edf01d66a23c43c6da23a0110f76d"),
+    (["diagram", "algebra"],
+     "ffddad9573a2a1405f5ae923d3d55e74b3647152a098c74065d9009cab3366db"),
+    (["w1", "basis", "--cutoff", "8"],
+     "b501275f2623df3ba0cbef3e6caf81eaf1bcab2edd348b0e87ee08b36796a859"),
+    (["w1", "reduce", "--input", "witness.json"],
+     "55f1c9445b7ecc3c0e972b0d2b77ca00a6c9eeae69636d5c54f7e23300590872"),
+    (["w1", "reduce", "--input", "certificate.json"],
+     "4506b7b1c604b284e76c6398f7b86f47c74edd1b2f02fd16b4674da1d58b0786"),
 ]
+
+PINNED_INPUTS = {
+    "witness.json": {"gammaF": [[1, 2, "1"]], "gammaG": [[0, 1, "3"]]},
+    "certificate.json": {"gammaF": [[2, 0, "1/2"]], "gammaG": [[2, 3, "1"], [1, 0, "-2/3"]]},
+}
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_REPORTS,
                          ids=[" ".join(a) for a, _ in PINNED_REPORTS])
-def test_json_report_bytes_are_pinned(argv, digest, capsys):
+def test_json_report_bytes_are_pinned(argv, digest, capsys, tmp_path, monkeypatch):
+    # the report names its input file, so the inputs sit at fixed relative paths
+    for name, data in PINNED_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(argv + ["--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,9 +1,13 @@
+import ast
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from diagdeform.linalg import rref
+from diagdeform.linalg import IntRows, identity, mat_eq, mat_mul, mat_vec, rref
+from diagdeform.scalars import QVAR, RatFunc, UniPoly
 
 F = Fraction
 
@@ -72,3 +76,102 @@ def test_pivots_ignore_columns_past_ncols():
     pivots, R = rref([[F(2), F(4)], [F(1), F(3)]], 1)
     assert pivots == [(0, 0)]
     assert R == [[F(1), F(2)], [F(0), F(1)]]
+
+
+# ------------------------------------------------- dense products and IntRows
+
+
+def to_sympy_matrix(M, entry):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(len(M), len(M[0]) if M else 0,
+                        lambda i, j: entry(M[i][j]))
+
+
+def rational(c):
+    import sympy
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def test_dense_products_over_qq_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4104)
+    for _ in range(20):
+        n, m, p = (rng.randint(1, 5) for _ in range(3))
+        A, B = random_matrix(rng, n, m), random_matrix(rng, m, p)
+        v = [row[0] for row in random_matrix(rng, m, 1)]
+        SA, SB = to_sympy_matrix(A, rational), to_sympy_matrix(B, rational)
+        assert to_sympy_matrix(mat_mul(A, B), rational) == SA * SB
+        assert [rational(c) for c in mat_vec(A, v)] == list(SA * sympy.Matrix([rational(c) for c in v]))
+
+
+def test_dense_products_over_qq_q_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def ratfunc(r):
+        num = sum(rational(c) * q ** k for k, c in enumerate(r.num.coeffs))
+        den = sum(rational(c) * q ** k for k, c in enumerate(r.den.coeffs))
+        return num / den
+
+    rng = random.Random(1988)
+
+    def entry():
+        num = UniPoly(QVAR, [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+        den = UniPoly(QVAR, [rng.randint(1, 3), rng.randint(-2, 2)])
+        return RatFunc(num, den)
+
+    for _ in range(4):
+        n, m, p = (rng.randint(1, 3) for _ in range(3))
+        A = [[entry() for _ in range(m)] for _ in range(n)]
+        B = [[entry() for _ in range(p)] for _ in range(m)]
+        got = to_sympy_matrix(mat_mul(A, B), ratfunc)
+        want = to_sympy_matrix(A, ratfunc) * to_sympy_matrix(B, ratfunc)
+        assert (got - want).applyfunc(sympy.cancel) == sympy.zeros(n, p)
+        assert mat_eq(mat_mul(identity(n), A), A) and mat_eq(mat_mul(A, identity(m)), A)
+
+
+def test_int_rows_apply_matches_the_dense_fraction_product():
+    rng = random.Random(2012)
+    for A in cases():
+        M = IntRows.from_rational(A)
+        assert all(c for _, coefs in M.rows for c in coefs)
+        for _ in range(3):
+            x = [row[0] for row in random_matrix(rng, len(A[0]), 1)]
+            vals, den = M.apply(x)
+            assert [F(v, den) for v in vals] == mat_vec(A, x)
+    # a row with no entries reads zero; the input's own denominators count
+    M = IntRows([((), ()), ((0, 2), (3, -1))], 2)
+    assert M.apply([F(1, 3), 5, F(1, 4)]) == ([0, 3 * 4 - 3], 24)
+
+
+# ------------------------------------------------------- one core, one format
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "diagdeform"
+DENSE_HELPER = re.compile(r"_?(mat|vec)_\w+|_?(zeros|identity|dot|rref|sparse_row)")
+
+
+def test_only_linalg_defines_matrix_and_vector_helpers():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if path.stem != "linalg" and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert not DENSE_HELPER.fullmatch(node.name), f"{path.name}: {node.name}"
+                if isinstance(node, ast.ClassDef):
+                    methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                    assert "apply" not in methods, f"{path.name}: {node.name} applies rows"
+
+
+def test_coboundary_matrices_and_the_gauge_transform_are_int_rows():
+    from diagdeform import w1diagram
+    from diagdeform.acceptance import sample_arrow_diagram, sample_cospan_diagram
+    from diagdeform.diagram import coboundary_matrix
+
+    for D in (sample_arrow_diagram(), sample_cospan_diagram()):
+        for n in range(3):
+            M = coboundary_matrix(D, n)
+            assert isinstance(M, IntRows) and type(M).apply is IntRows.apply
+    for cutoff in (0, 5, 8):
+        T = w1diagram._gauge_factor(cutoff).transform
+        assert type(T) is IntRows
+        assert T.denominator > 0 and all(cols == tuple(sorted(cols)) for cols, _ in T.rows)

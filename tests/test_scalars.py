@@ -83,6 +83,16 @@ def test_ratfunc_canonical_form():
     assert z.is_zero() and z.den == UniPoly.one(LAMBDA)
 
 
+def test_ratfunc_equals_a_rational_exactly_when_it_is_that_constant():
+    q = RatFunc.gen(QVAR)
+    for c in (0, 1, -3, Fraction(2, 3), Fraction(-5, 7)):
+        f = RatFunc.const(QVAR, c)
+        assert f == c and c == f and f != c + 1 and f != Fraction(c) / 2 + 1
+        assert q != c and 1 / (q + 1) != c and (q + c) / q != c
+    assert RatFunc(UniPoly.const(QVAR, 4), UniPoly.const(QVAR, 6)) == Fraction(2, 3)
+    assert (q * q + q) / (q + 1) - q == 0 and q / q == 1
+
+
 def test_specialize():
     lam = RatFunc.gen(LAMBDA)
     f = lam / (lam - 1)
@@ -206,6 +216,37 @@ def test_constant_series_equals_its_scalar():
         assert len({TruncSeries.const(ring, 2, Fraction(3, 2)), Fraction(3, 2)}) == 1
     # equality is transitive through the constant element of an algebra
     assert deformed(3).one == TruncSeries.one(QQ, 3) == 1 == deformed(3).one
+
+
+def test_constant_series_equals_a_constant_of_its_coefficient_ring():
+    from diagdeform.sphere import SphereElement
+    from diagdeform.star import P2, Poly2
+
+    lam, q = RatFunc.gen(LAMBDA), RatFunc.gen(QVAR)
+    cases = [  # (ring, the ring's one, a constant that is not rational)
+        (SPHERE, SphereElement.const(1), SphereElement.const(lam)),
+        (RatFuncRing(QVAR), RatFunc.const(QVAR, 1), q),
+        (P2, Poly2.const(1), Poly2.x()),
+    ]
+    for ring, one, c in cases:
+        series = TruncSeries.const(ring, 3, c)
+        assert TruncSeries.one(ring, 3) == one and one == TruncSeries.one(ring, 3)
+        assert series == c and c == series and not series != c
+        assert series != one and TruncSeries(ring, 3, [c, c]) != c
+        # one key in a set or dict, since they hash alike
+        assert len({TruncSeries.one(ring, 3), one}) == 1
+        assert len({series, c}) == 1 and {series: "series"}[c] == "series"
+        # arithmetic still takes only rational scalars
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(series, c)
+            with pytest.raises(TypeError):
+                op(c, series)
+    # the sphere's lambda is a constant of its ring too
+    assert TruncSeries.const(SPHERE, 2, SphereElement.const(lam)) == lam
+    # a coefficient in another variable is unequal, as for RatFunc itself
+    assert TruncSeries.const(RatFuncRing(QVAR), 2, q) != lam
+    assert TruncSeries.const(SPHERE, 2, SphereElement.const(lam)) != q
 
 
 def test_series_expand_refuses_other_variables():

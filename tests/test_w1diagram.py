@@ -123,26 +123,26 @@ def test_membership_rechecks_a_corrupted_cached_factor(p, rows, monkeypatch):
     monkeypatch.setattr(w1diagram, "_FACTORS", {})
     factor = w1diagram._gauge_factor(6)
     rank = len(factor.pivots)
-    # the transform rows are (denominator, {slot: integer numerator}) pairs
+    # the transform is IntRows: (cols, coefs) rows over one denominator
+    T = factor.transform.rows
     if rows == "below_rank":
-        for _, row in factor.transform[rank:]:
-            row.update({s: 1 for s in w1diagram._slots(7)})
+        every = tuple(range(len(factor.columns)))
+        T[rank:] = [(every, (1,) * len(every))] * (len(T) - rank)
     else:
-        for _, row in factor.transform[:rank]:
-            row.update({s: 2 * v for s, v in row.items()})
+        T[:rank] = [(cols, tuple(2 * v for v in coefs)) for cols, coefs in T[:rank]]
     with pytest.raises(AssertionError):
         membership_oracle(W1.monomial(*p), 6)
 
 
 def test_membership_reads_each_transform_row_over_its_denominator(monkeypatch):
-    # the same rows written over three times their denominators give the
+    # the same rows written over three times their denominator give the
     # same witnesses and the same certificates, value for value
     monkeypatch.setattr(w1diagram, "_FACTORS", {})
     targets = [W1.monomial(i, j, F(2, 3)) for i in range(5) for j in range(3)]
     want = [membership_oracle(p, 6) for p in targets]
-    factor = w1diagram._gauge_factor(6)
-    factor.transform[:] = [(3 * den, {s: 3 * v for s, v in row.items()})
-                           for den, row in factor.transform]
+    transform = w1diagram._gauge_factor(6).transform
+    transform.rows[:] = [(cols, tuple(3 * v for v in coefs)) for cols, coefs in transform.rows]
+    transform.denominator *= 3
     for p, (ok, payload) in zip(targets, want):
         got_ok, got = membership_oracle(p, 6)
         assert got_ok == ok
