@@ -5,7 +5,7 @@ only + and * of the entries, which must commute, so they serve Fraction
 matrices in diagram and QQ(q) matrices in qweyl alike.  rref is exact
 Gauss-Jordan elimination over QQ, for nerve cohomology and the W_1 gauge
 membership oracle.  IntRows is the one sparse integer row format: the
-coboundary matrices and the gauge transform, each used through its apply.
+coboundary matrices (apply) and the gauge transform by columns (combine).
 """
 
 from __future__ import annotations
@@ -125,3 +125,14 @@ class IntRows:
         get = nums.__getitem__
         return ([sum(map(mul, coefs, map(get, cols))) for cols, coefs in self.rows],
                 den * self.denominator)
+
+    def combine(self, weights):
+        """The sum of w times row i over the (i, w) pairs of integer weights,
+        read off those rows alone: {column: integer} over this denominator,
+        a column whose terms cancel keeping its zero."""
+        out = {}
+        for i, w in weights:
+            cols, coefs = self.rows[i]
+            for j, c in zip(cols, coefs):
+                out[j] = out.get(j, 0) + w * c
+        return out

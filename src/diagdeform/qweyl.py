@@ -18,7 +18,9 @@ until that check passes.
 multiply and commutator (a*b and -b*a in one accumulator) share one kernel.
 Over QQ with q an integer, as at q = 1, it runs on integers: operands over
 the lcm of their denominators, integer block rules, and one Fraction per
-output key.  Over QQ(q) and QQ[[hbar]] the coefficients stay ring elements.
+output key; a W_1 gauge move adds its commutators into its own integer sum
+through the same loop.  Over QQ(q) and QQ[[hbar]] the coefficients stay
+ring elements.
 normalize remains the oracle in every regime.
 
 The grading deg(x^i y^j) = i - j is preserved by multiplication since the
@@ -155,15 +157,19 @@ class QWeyl(SparsePolyRing):
         integer, and on ring elements otherwise."""
         if a.algebra is not self or b.algebra is not self:
             raise ContextMismatch("operands from a different algebra context")
-        integral = self._integral
-        if integral:
+        if self._integral:
             na, da = _numerators(a.terms.values())
             nb, db = _numerators(b.terms.values())
-            ta, tb, zero = list(zip(a.terms, na)), list(zip(b.terms, nb)), 0
-        else:
-            ta, tb, zero = a.terms.items(), b.terms.items(), self.ring.zero
+            ta, tb = list(zip(a.terms, na)), list(zip(b.terms, nb))
+            out = self._add_products({}, ta, tb, minus_ba, 0)
+            return self.zero._like(_fractions(out, da * db))
+        out = self._add_products({}, a.terms.items(), b.terms.items(), minus_ba, self.ring.zero)
+        return self.zero._like({k: c for k, c in out.items() if c})
+
+    def _add_products(self, out: dict, ta, tb, minus_ba: bool, zero) -> dict:
+        """Add a b, or a b - b a, into out and return it; a and b are (key,
+        coefficient) pairs, integers if integral, and zero is theirs."""
         shift = self._shift
-        out = {}
         for sign, tu, tv in ((1, ta, tb), (-1, tb, ta))[:1 + minus_ba]:
             for (i1, j1), c1 in tu:
                 for (i2, j2), c2 in tv:
@@ -171,9 +177,7 @@ class QWeyl(SparsePolyRing):
                     for (m, n), w in shift(j1, i2).items():
                         key = (i1 + m, n + j2)
                         out[key] = out.get(key, zero) + c * w
-        if integral:
-            return self.zero._like(_fractions(out, da * db))
-        return self.zero._like({k: c for k, c in out.items() if c})
+        return out
 
     def multiply(self, a: PseudoPoly, b: PseudoPoly) -> PseudoPoly:
         """Product in normal form via the block rewriting rule."""

@@ -845,7 +845,10 @@ class SparsePoly:
 
     def __eq__(self, other):
         if type(other) is not type(self):
-            other = self._coerce(other)
+            try:
+                other = self._coerce(other)
+            except TagMismatch:  # a coefficient in another variable
+                return NotImplemented
             if other is NotImplemented:
                 return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms

@@ -24,25 +24,27 @@ system outright by exact elimination over QQ and returns either a gauge
 witness or a dual-vector certificate of non-membership, so reduce's
 consistency flag compares the two readings.  Both depend on the cutoff
 alone and are computed once per cutoff (_gauge_factor), the elimination's
-row transform T as a linalg.IntRows, so the oracle's T b is one
-IntRows.apply.  Every witness and certificate is checked again through the
-q-Weyl product, not the closed form [chi, x] = -d chi/dy that
-_gauge_generators encodes.  The oracle is the ground truth here.  Two reference
-descriptions of the surviving classes are in circulation, differing on
-whether the pure powers x^i survive; the oracle finds they do not (chi =
-x^(i+1)/(i+1) kills them without touching gammaF), and basis_report
-records the verdict against both readings rather than assuming either.
+row transform T as a linalg.IntRows of its columns, so the oracle's T b
+combines the columns on p's support.  Every witness and certificate is
+checked again, on integers and through the q-Weyl product kernel, not the
+closed form [chi, x] = -d chi/dy that _gauge_generators encodes.  The
+oracle is the ground truth here.  Two reference descriptions of the
+surviving classes are in circulation, differing on whether the pure powers
+x^i survive; the oracle finds they do not (chi = x^(i+1)/(i+1) kills them
+without touching gammaF), and basis_report records the verdict against both
+readings rather than assuming either.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .linalg import IntRows, identity, rref
 from .qweyl import PseudoPoly, classical
-from .scalars import parse_rational
+from .scalars import ContextMismatch, _fractions, _numerators, parse_rational
 
 W1 = classical()
 
@@ -148,10 +150,25 @@ class GaugeDatum:
 
 
 def apply_gauge(coc: W1Cocycle, g: GaugeDatum) -> W1Cocycle:
-    """Move a cocycle by a gauge datum."""
-    new_f = coc.gamma_f - g.alpha + W1.commutator(g.chi, W1.x)
-    new_g = coc.gamma_g - g.beta + W1.commutator(g.chi, W1.y)
-    return W1Cocycle(new_f, new_g)
+    """Move a cocycle by a gauge datum: gamma - alpha + [chi, x] and
+    gamma - beta + [chi, y], each one integer sum over the lcm of all five
+    parts, the commutator added in by the q-Weyl product kernel."""
+    parts = (coc.gamma_f, g.alpha, coc.gamma_g, g.beta, g.chi)
+    if any(p.algebra is not W1 for p in parts):
+        raise ContextMismatch("a gauge move takes elements of W1 alone")
+    nums, den = _numerators([c for p in parts for c in p.terms.values()])
+    it = iter(nums)
+    gamma_f, alpha, gamma_g, beta, chi = [list(zip(p.terms, islice(it, len(p.terms))))
+                                          for p in parts]
+
+    def move(gamma, shift, gen):
+        out = dict(gamma)
+        for k, n in shift:
+            out[k] = out.get(k, 0) - n
+        # gen is x or y, 1 over 1, so the commutator's numerators are over den
+        return W1.zero._like(_fractions(W1._add_products(out, chi, [(gen, 1)], True, 0), den))
+
+    return W1Cocycle(move(gamma_f, alpha, (1, 0)), move(gamma_g, beta, (0, 1)))
 
 
 def kill_gamma_f(coc: W1Cocycle):
@@ -186,17 +203,12 @@ def _gauge_generators(cutoff: int):
     chi = x^i contributes -i x^(i-1) with no alpha needed; chi = x^i y
     contributes -i x^(i-1) y and forces alpha = [chi, x] = -x^i, which is
     available, so the generator is admissible.  Each image is a single
-    monomial, which reduce relies on.  Only the span matters for
-    membership, but the signs matter for witness assembly.
+    monomial with an integer coefficient, which reduce relies on.  Only the
+    span matters for membership, but the signs matter for witness assembly.
     """
-    gens = []
-    for j in range(cutoff + 1):
-        gens.append((("beta", j), {(0, j): Fraction(1)}))
-    for i in range(1, cutoff + 2):
-        gens.append((("chi_x", i), {(i - 1, 0): Fraction(-i)}))
-    for i in range(1, cutoff + 1):
-        gens.append((("chi_xy", i), {(i - 1, 1): Fraction(-i)}))
-    return gens
+    return ([(("beta", j), {(0, j): 1}) for j in range(cutoff + 1)]
+            + [(("chi_x", i), {(i - 1, 0): -i}) for i in range(1, cutoff + 2)]
+            + [(("chi_xy", i), {(i - 1, 1): -i}) for i in range(1, cutoff + 1)])
 
 
 def _check_cutoff(cutoff: int) -> None:
@@ -209,9 +221,10 @@ class _GaugeFactor(NamedTuple):
 
     gens are the generators (columns of A); pivots and transform come from
     rref([A | I]) with A the slots-by-generators matrix, transform being its
-    row transform T as IntRows; columns maps each slot to its column of T,
-    in slot order; touched is the set of slots the generators' images
-    occupy, which span the gauge span since each image is one monomial.
+    row transform T as the IntRows of its columns; columns maps each slot
+    to its column of T, in slot order; touched is the set of slots the
+    generators' images occupy, which span the gauge span since each image
+    is one monomial.
     Callers read these and never hand them out unless copied.
     """
 
@@ -239,12 +252,11 @@ def _gauge_factor(cutoff: int) -> _GaugeFactor:
     slots = _slots(cutoff + 1)
     gens = _gauge_generators(cutoff)
     n = len(gens)
-    zero = Fraction(0)
     # rows [A | I]: on slot s, the generator coefficients and a unit row, so
     # a zero row of A carries its combination of slots along
-    pivots, rows = rref([[img.get(s, zero) for _, img in gens] + unit
+    pivots, rows = rref([[img.get(s, 0) for _, img in gens] + unit
                          for s, unit in zip(slots, identity(len(slots)))], n)
-    transform = IntRows.from_rational([row[n:] for row in rows])
+    transform = IntRows.from_rational(list(zip(*rows))[n:])
     columns = {s: j for j, s in enumerate(slots)}
     touched = frozenset(s for _, img in gens for s in img)
     factor = _FACTORS[cutoff] = _GaugeFactor(gens, pivots, transform, columns, touched)
@@ -265,25 +277,22 @@ def membership_oracle(p: PseudoPoly, cutoff: int):
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
     factor = _gauge_factor(cutoff)
     gens, columns, transform = factor.gens, factor.columns, factor.transform
-    b = [0] * len(columns)
-    for s, c in p.terms.items():
-        b[columns[s]] = c
-    tb, den = transform.apply(b)  # T b is tb / den
-    bad = next((r for r in range(len(factor.pivots), len(tb)) if tb[r]), None)
+    nums, den = _numerators(p.terms.values())
+    tb = transform.combine([(columns[s], n) for s, n in zip(p.terms, nums)])
+    # T b is tb / (den * transform.denominator); a dual is a row of T
+    rank = len(factor.pivots)
+    bad = min((r for r, v in tb.items() if v and r >= rank), default=None)
     if bad is not None:
-        slots = list(columns)
-        cols, coefs = transform.rows[bad]
-        dual = {slots[j]: Fraction(v, transform.denominator) for j, v in zip(cols, coefs)}
-        if (not sum(dual[s] * c for s, c in p.terms.items() if s in dual)
-                or any(sum(dual[s] * v for s, v in img.items() if s in dual)
-                       for _, img in gens)):
+        dual = {s: coefs[rows.index(bad)]
+                for s, (rows, coefs) in zip(columns, transform.rows) if bad in rows}
+        if (not sum(dual.get(s, 0) * n for s, n in zip(p.terms, nums))
+                or any(sum(dual.get(s, 0) * v for s, v in img.items()) for _, img in gens)):
             raise AssertionError("non-membership certificate failed to separate")
-        return False, dual
-    beta = {}
-    chi = {}
-    alpha = {}
+        return False, {s: Fraction(v, transform.denominator) for s, v in dual.items()}
+    den *= transform.denominator
+    alpha, beta, chi = {}, {}, {}
     for r, c in factor.pivots:
-        if not tb[r]:
+        if not tb.get(r):
             continue
         coeff = Fraction(tb[r], den)
         kind, idx = gens[c][0]

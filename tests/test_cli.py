@@ -272,11 +272,23 @@ PINNED_REPORTS = [
      "55f1c9445b7ecc3c0e972b0d2b77ca00a6c9eeae69636d5c54f7e23300590872"),
     (["w1", "reduce", "--input", "certificate.json"],
      "4506b7b1c604b284e76c6398f7b86f47c74edd1b2f02fd16b4674da1d58b0786"),
+    # recorded before the gauge moves and the oracle's T b ran on sparse
+    # integers; both inputs carry non-integer coefficients
+    (["w1", "basis", "--cutoff", "12"],
+     "398a5b66feb31f8b91362f9b88b2dc4c6045b2650543d0abe89cfc0e741cc48f"),
+    (["w1", "reduce", "--input", "witness12.json", "--cutoff", "12"],
+     "d8ef36c6f24df8e391f4a6afc0a826e91cbe09b1c79b3ca58fa3fc8afa4d4935"),
+    (["w1", "reduce", "--input", "certificate12.json", "--cutoff", "12"],
+     "21bb2dd0233850bdf02dcefd7289779c3ac5803f6bdfb0593b2ac427f88f9eb6"),
 ]
 
 PINNED_INPUTS = {
     "witness.json": {"gammaF": [[1, 2, "1"]], "gammaG": [[0, 1, "3"]]},
     "certificate.json": {"gammaF": [[2, 0, "1/2"]], "gammaG": [[2, 3, "1"], [1, 0, "-2/3"]]},
+    "witness12.json": {"gammaF": [[3, 0, "2/7"], [1, 1, "-5/3"], [0, 5, "1/6"]],
+                       "gammaG": [[0, 4, "1/5"], [5, 1, "3/4"], [7, 0, "-7/2"], [0, 0, "5/9"]]},
+    "certificate12.json": {"gammaF": [[4, 3, "3/8"], [2, 0, "-1/6"]],
+                           "gammaG": [[6, 5, "2/9"], [1, 0, "-4/3"], [0, 2, "5/7"]]},
 }
 
 

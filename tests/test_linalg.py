@@ -144,6 +144,24 @@ def test_int_rows_apply_matches_the_dense_fraction_product():
     assert M.apply([F(1, 3), 5, F(1, 4)]) == ([0, 3 * 4 - 3], 24)
 
 
+def test_int_rows_combine_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1815)
+    for A in cases():
+        M = IntRows.from_rational(A)
+        SA = to_sympy_matrix(A, rational)
+        for _ in range(3):
+            picked = rng.sample(range(len(A)), rng.randint(0, len(A)))
+            weights = [(i, rng.randint(-6, 6)) for i in picked]
+            got = M.combine(weights)
+            w = dict(weights)
+            want = sympy.Matrix(1, len(A), lambda _, i: w.get(i, 0)) * SA
+            assert [rational(F(got.get(j, 0), M.denominator))
+                    for j in range(len(A[0]))] == list(want)
+            # only the named rows are read
+            assert set(got) == {j for i in picked for j in M.rows[i][0]}
+
+
 # ------------------------------------------------------- one core, one format
 
 

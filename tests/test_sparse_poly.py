@@ -315,6 +315,23 @@ def test_scalars_coerce_to_constants_in_every_sparse_algebra():
         W.coerce("1/2")
 
 
+def test_a_coefficient_in_another_variable_is_unequal_not_an_error():
+    lam, q = RatFunc.gen(LAMBDA), RatFunc.gen(QVAR)
+    S = symbolic()
+    for element, scalar in ((S.one, lam), (S.coerce(q), lam), (S.x, lam),
+                            (SphereElement.const(lam), q), (SphereElement.x_power(1), q)):
+        assert not element == scalar and not scalar == element
+        assert element != scalar and scalar != element
+        assert element not in [scalar] and scalar not in [element]
+    # + still refuses the mix, and another context is still unequal
+    with pytest.raises(TagMismatch):
+        S.one + lam
+    a, b = classical(), classical()
+    assert a.one != b.one and a.one not in [b.one]
+    with pytest.raises(ValueError):
+        a.one + b.one
+
+
 def test_constants_hash_as_the_scalars_they_equal():
     lam, q = RatFunc.gen(LAMBDA), RatFunc.gen(QVAR)
     S, D, W = symbolic(), deformed(3), classical()

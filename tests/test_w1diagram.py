@@ -5,7 +5,9 @@ import pytest
 
 from diagdeform import w1diagram
 from diagdeform.cli import _encode
-from diagdeform.linalg import rref
+from diagdeform.linalg import identity, mat_vec, rref
+from diagdeform.qweyl import PseudoPoly, classical
+from diagdeform.scalars import ContextMismatch, _numerators
 from diagdeform.w1diagram import (
     W1,
     CutoffTooSmall,
@@ -123,19 +125,22 @@ def test_membership_rechecks_a_corrupted_cached_factor(p, rows, monkeypatch):
     monkeypatch.setattr(w1diagram, "_FACTORS", {})
     factor = w1diagram._gauge_factor(6)
     rank = len(factor.pivots)
-    # the transform is IntRows: (cols, coefs) rows over one denominator
+    # the transform is IntRows of the columns of T: transform.rows[j] holds
+    # column j as (rows of T, coefs) over one denominator
     T = factor.transform.rows
     if rows == "below_rank":
-        every = tuple(range(len(factor.columns)))
-        T[rank:] = [(every, (1,) * len(every))] * (len(T) - rank)
+        below = tuple(range(rank, len(factor.columns)))
+        T[:] = [(tuple(r for r in rs if r < rank) + below,
+                 tuple(v for r, v in zip(rs, vs) if r < rank) + (1,) * len(below))
+                for rs, vs in T]
     else:
-        T[:rank] = [(cols, tuple(2 * v for v in coefs)) for cols, coefs in T[:rank]]
+        T[:] = [(rs, tuple(2 * v if r < rank else v for r, v in zip(rs, vs))) for rs, vs in T]
     with pytest.raises(AssertionError):
         membership_oracle(W1.monomial(*p), 6)
 
 
 def test_membership_reads_each_transform_row_over_its_denominator(monkeypatch):
-    # the same rows written over three times their denominator give the
+    # the same transform written over three times its denominator gives the
     # same witnesses and the same certificates, value for value
     monkeypatch.setattr(w1diagram, "_FACTORS", {})
     targets = [W1.monomial(i, j, F(2, 3)) for i in range(5) for j in range(3)]
@@ -150,6 +155,44 @@ def test_membership_reads_each_transform_row_over_its_denominator(monkeypatch):
             assert got.to_json() == payload.to_json()
         else:
             assert list(got.items()) == list(payload.items())
+
+
+def test_sparse_transform_product_matches_the_dense_fraction_product():
+    # T b from the columns of T on p's support equals the dense Fraction
+    # product of T, read off one fresh elimination of [A | I], with b; a
+    # certificate is the first row of that T below the rank not killing b
+    rng = random.Random(1066)
+    for cutoff in range(13):
+        slots = w1diagram._slots(cutoff + 1)
+        gens = _gauge_generators(cutoff)
+        n = len(gens)
+        pivots, rows = rref([[F(img.get(s, 0)) for _, img in gens] + unit
+                             for s, unit in zip(slots, identity(len(slots)))], n)
+        T = [row[n:] for row in rows]
+        factor = w1diagram._gauge_factor(cutoff)
+        transform = factor.transform
+        support = [(i, j) for i in range(cutoff + 1) for j in range(cutoff + 1 - i)]
+        for _ in range(12):
+            p = PseudoPoly(W1, {s: F(rng.randint(-9, 9), rng.randint(1, 6))
+                                for s in rng.sample(support, min(len(support), 4))})
+            nums, den = _numerators(p.terms.values())
+            tb = transform.combine([(factor.columns[s], v) for s, v in zip(p.terms, nums)])
+            dense = mat_vec(T, [p.terms.get(s, F(0)) for s in slots])
+            assert [F(tb.get(r, 0), den * transform.denominator)
+                    for r in range(len(slots))] == dense
+            bad = next((r for r in range(len(pivots), len(slots)) if dense[r]), None)
+            ok, payload = membership_oracle(p, cutoff)
+            assert ok == (bad is None)
+            if not ok:
+                assert list(payload.items()) == [(s, v) for s, v in zip(slots, T[bad]) if v]
+
+
+def test_apply_gauge_refuses_another_context():
+    other = classical()
+    with pytest.raises(ContextMismatch):
+        apply_gauge(W1Cocycle(other.x, W1.zero), GaugeDatum.zero())
+    with pytest.raises(ContextMismatch):
+        apply_gauge(W1Cocycle.zero(), GaugeDatum(W1.zero, W1.zero, other.y))
 
 
 def _oracle_by_direct_elimination(p, cutoff):
