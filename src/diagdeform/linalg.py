@@ -5,14 +5,15 @@ only + and * of the entries, which must commute, so they serve Fraction
 matrices in diagram and QQ(q) matrices in qweyl alike.  rref is exact
 Gauss-Jordan elimination over QQ, for nerve cohomology and the W_1 gauge
 membership oracle.  IntRows is the one sparse integer row format: the
-coboundary matrices (apply) and the gauge transform by columns (combine).
+coboundary matrices (apply), the gauge transform by columns and the gauge
+generators by slot (combine, column).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from operator import mul
+from itertools import compress, islice, repeat
+from operator import contains, itemgetter, mul
 
 from .scalars import _numerators
 
@@ -136,3 +137,10 @@ class IntRows:
             for j, c in zip(cols, coefs):
                 out[j] = out.get(j, 0) + w * c
         return out
+
+    def column(self, j):
+        """Column j as the (row, integer) pairs of its nonzero entries, in row
+        order, over this denominator; each row is tested once, at C speed."""
+        rows = self.rows
+        hits = compress(range(len(rows)), map(contains, map(itemgetter(0), rows), repeat(j)))
+        return [(i, rows[i][1][rows[i][0].index(j)]) for i in hits]

@@ -132,22 +132,23 @@ class QWeyl(SparsePolyRing):
         The coefficients are ints in an integral context, ring elements
         otherwise.
         """
-        integral = self._integral
-        if j == 0 or k == 0:
-            return {(k, j): 1 if integral else self.ring.one}
         key = (j, k)
         cached = self._shift_cache.get(key)
         if cached is not None:
             return cached
-        qj, mj, zero = self.q_power(j), self.qint(j), self.ring.zero
-        if integral:
-            qj, mj, zero = qj.numerator, mj.numerator, 0
-        out = {}
-        for (a, b), c in self._shift(j, k - 1).items():
-            out[(a + 1, b)] = out.get((a + 1, b), zero) + qj * c
-        for (a, b), c in self._shift(j - 1, k - 1).items():
-            out[(a, b)] = out.get((a, b), zero) - mj * c
-        out = {k2: v for k2, v in out.items() if v}
+        integral = self._integral
+        if j == 0 or k == 0:
+            out = {(k, j): 1 if integral else self.ring.one}
+        else:
+            qj, mj, zero = self.q_power(j), self.qint(j), self.ring.zero
+            if integral:
+                qj, mj, zero = qj.numerator, mj.numerator, 0
+            out = {}
+            for (a, b), c in self._shift(j, k - 1).items():
+                out[(a + 1, b)] = out.get((a + 1, b), zero) + qj * c
+            for (a, b), c in self._shift(j - 1, k - 1).items():
+                out[(a, b)] = out.get((a, b), zero) - mj * c
+            out = {k2: v for k2, v in out.items() if v}
         self._shift_cache[key] = out
         return out
 
@@ -169,12 +170,17 @@ class QWeyl(SparsePolyRing):
     def _add_products(self, out: dict, ta, tb, minus_ba: bool, zero) -> dict:
         """Add a b, or a b - b a, into out and return it; a and b are (key,
         coefficient) pairs, integers if integral, and zero is theirs."""
-        shift = self._shift
-        for sign, tu, tv in ((1, ta, tb), (-1, tb, ta))[:1 + minus_ba]:
+        rules, shift = self._shift_cache, self._shift
+        for tu, tv, negate in ((ta, tb, False), (tb, ta, True))[:1 + minus_ba]:
             for (i1, j1), c1 in tu:
+                if negate:
+                    c1 = -c1
                 for (i2, j2), c2 in tv:
-                    c = c1 * c2 if sign > 0 else -(c1 * c2)
-                    for (m, n), w in shift(j1, i2).items():
+                    c = c1 * c2
+                    rule = rules.get((j1, i2))
+                    if rule is None:
+                        rule = shift(j1, i2)
+                    for (m, n), w in rule.items():
                         key = (i1 + m, n + j2)
                         out[key] = out.get(key, zero) + c * w
         return out

@@ -119,11 +119,12 @@ def _numerators(values) -> tuple:
     """Integers and fractions as (integer numerators, common denominator).
 
     The denominator is the lcm of theirs, so the numerators n * denom / d of
-    the c = n/d share no factor with it.  values is read twice (a list or a
-    dict view) and not type-checked: outside input goes through _fr first.
+    the c = n/d share no factor with it.  values is read once and not
+    type-checked: outside input goes through _fr first.
     """
-    denom = lcm(*[c.denominator for c in values])
-    return [c.numerator * (denom // c.denominator) for c in values], denom
+    pairs = [c.as_integer_ratio() for c in values]
+    denom = lcm(*[d for _, d in pairs])
+    return [n * (denom // d) for n, d in pairs], denom
 
 
 def _fractions(nums, denom) -> dict:

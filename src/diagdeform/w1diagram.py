@@ -23,10 +23,16 @@ membership_oracle does not rely on the shape: it solves the resulting
 system outright by exact elimination over QQ and returns either a gauge
 witness or a dual-vector certificate of non-membership, so reduce's
 consistency flag compares the two readings.  Both depend on the cutoff
-alone and are computed once per cutoff (_gauge_factor), the elimination's
+alone and are computed once per cutoff (_gauge_factor): the elimination's
 row transform T as a linalg.IntRows of its columns, so the oracle's T b
-combines the columns on p's support.  Every witness and certificate is
-checked again, on integers and through the q-Weyl product kernel, not the
+combines the columns on p's support, and A as the IntRows of its rows, so
+a certificate's pairing with every generator combines the rows on its own
+support.  apply_gauge, kill_gamma_f and membership_oracle wrap one integer
+core: their inputs go over one common denominator once, and Fractions are
+built only for what they return.  reduce runs the kill and the check of
+its combined witness on one integer form of the cocycle, and asks
+membership_oracle about the killed gammaG.  Every witness and certificate
+is checked again, a witness through the q-Weyl product kernel, not the
 closed form [chi, x] = -d chi/dy that _gauge_generators encodes.  The
 oracle is the ground truth here.  Two reference descriptions of the
 surviving classes are in circulation, differing on whether the pure powers
@@ -39,10 +45,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice
+from math import lcm
 from typing import NamedTuple
 
-from .linalg import IntRows, identity, rref
+from .linalg import IntRows, identity, rref, sparse_row
 from .qweyl import PseudoPoly, classical
 from .scalars import ContextMismatch, _fractions, _numerators, parse_rational
 
@@ -54,7 +60,7 @@ class CutoffTooSmall(ValueError):
 
 
 def _max_degree(p: PseudoPoly) -> int:
-    return max((i + j for (i, j) in p.terms), default=0)
+    return max(map(sum, p.terms), default=0)
 
 
 class W1Cocycle:
@@ -149,26 +155,61 @@ class GaugeDatum:
         return f"GaugeDatum(alpha={self.alpha}, beta={self.beta}, chi={self.chi})"
 
 
+# ------------------------------------------------------------ integer core
+
+_X, _Y = [((1, 0), 1)], [((0, 1), 1)]
+
+
+def _integers(*parts):
+    """Elements of W1 as (key, numerator) pair lists over one denominator,
+    the lcm of all their coefficients' denominators: (lists, denominator).
+    Raises ContextMismatch for an element of another context."""
+    for p in parts:
+        if p.algebra is not W1:
+            raise ContextMismatch("a gauge move takes elements of W1 alone")
+    nums, den = _numerators([c for p in parts for c in p.terms.values()])
+    it = iter(nums)
+    # zip reads p.terms first, so it stops before taking a numerator too many
+    return [list(zip(p.terms, it)) for p in parts], den
+
+
+def _move(gamma, shift, chi, gen) -> dict:
+    """gamma - shift + [chi, gen] on numerators over one denominator, gen
+    being _X or _Y: a {key: integer} dict, cancelled keys kept at zero.
+    The commutator is added in by the q-Weyl product kernel."""
+    out = dict(gamma)
+    for k, n in shift:
+        out[k] = out.get(k, 0) - n
+    return W1._add_products(out, chi, gen, True, 0)
+
+
+def _poly(nums, den) -> PseudoPoly:
+    """{key: integer numerator} over den as an element of W1."""
+    return W1.zero._like(_fractions(nums, den))
+
+
 def apply_gauge(coc: W1Cocycle, g: GaugeDatum) -> W1Cocycle:
     """Move a cocycle by a gauge datum: gamma - alpha + [chi, x] and
     gamma - beta + [chi, y], each one integer sum over the lcm of all five
     parts, the commutator added in by the q-Weyl product kernel."""
-    parts = (coc.gamma_f, g.alpha, coc.gamma_g, g.beta, g.chi)
-    if any(p.algebra is not W1 for p in parts):
-        raise ContextMismatch("a gauge move takes elements of W1 alone")
-    nums, den = _numerators([c for p in parts for c in p.terms.values()])
-    it = iter(nums)
-    gamma_f, alpha, gamma_g, beta, chi = [list(zip(p.terms, islice(it, len(p.terms))))
-                                          for p in parts]
+    (gamma_f, alpha, gamma_g, beta, chi), den = _integers(
+        coc.gamma_f, g.alpha, coc.gamma_g, g.beta, g.chi)
+    return W1Cocycle(_poly(_move(gamma_f, alpha, chi, _X), den),
+                     _poly(_move(gamma_g, beta, chi, _Y), den))
 
-    def move(gamma, shift, gen):
-        out = dict(gamma)
-        for k, n in shift:
-            out[k] = out.get(k, 0) - n
-        # gen is x or y, 1 over 1, so the commutator's numerators are over den
-        return W1.zero._like(_fractions(W1._add_products(out, chi, [(gen, 1)], True, 0), den))
 
-    return W1Cocycle(move(gamma_f, alpha, (1, 0)), move(gamma_g, beta, (0, 1)))
+def _kill(coc: W1Cocycle):
+    """kill_gamma_f on integers: (gammaF, gammaG, chi, killed gammaG, den),
+    all over den, which is the cocycle's lcm times that of the j+1, so that
+    chi's numerators are integers too; the killed gammaG is a _move dict."""
+    (gamma_f, gamma_g), den = _integers(coc.gamma_f, coc.gamma_g)
+    scale = lcm(*[j + 1 for (_, j), _ in gamma_f])
+    gamma_f = [(k, n * scale) for k, n in gamma_f]
+    gamma_g = [(k, n * scale) for k, n in gamma_g]
+    chi = [((i, j + 1), n // (j + 1)) for (i, j), n in gamma_f]
+    if any(_move(gamma_f, (), chi, _X).values()):
+        raise AssertionError("gammaF did not vanish under the constructed gauge")
+    return gamma_f, gamma_g, chi, _move(gamma_g, (), chi, _Y), den * scale
 
 
 def kill_gamma_f(coc: W1Cocycle):
@@ -177,12 +218,9 @@ def kill_gamma_f(coc: W1Cocycle):
     chi = sum c_ij/(j+1) x^i y^(j+1) has [chi, x] = -gammaF, so the datum
     (0, 0, chi) does it; the second component picks up [chi, y].
     """
-    chi = PseudoPoly(W1, {(i, j + 1): c / (j + 1) for (i, j), c in coc.gamma_f.terms.items()})
-    witness = GaugeDatum(W1.zero, W1.zero, chi)
-    out = apply_gauge(coc, witness)
-    if not out.gamma_f.is_zero():
-        raise AssertionError("gammaF did not vanish under the constructed gauge")
-    return out, witness
+    _, _, chi, killed, den = _kill(coc)
+    return (W1Cocycle(W1.zero, _poly(killed, den)),
+            GaugeDatum(W1.zero, W1.zero, _poly(dict(chi), den)))
 
 
 # ------------------------------------------------------------ linear algebra
@@ -221,16 +259,19 @@ class _GaugeFactor(NamedTuple):
 
     gens are the generators (columns of A); pivots and transform come from
     rref([A | I]) with A the slots-by-generators matrix, transform being its
-    row transform T as the IntRows of its columns; columns maps each slot
-    to its column of T, in slot order; touched is the set of slots the
-    generators' images occupy, which span the gauge span since each image
-    is one monomial.
+    row transform T as the IntRows of its columns; span is A as the IntRows
+    of its rows; slots lists the monomial slots in the order of both, and
+    columns maps each slot to its index there; touched is the set of slots
+    the generators' images occupy, which span the gauge span since each
+    image is one monomial.
     Callers read these and never hand them out unless copied.
     """
 
     gens: list
     pivots: list
     transform: IntRows
+    span: IntRows
+    slots: list
     columns: dict
     touched: frozenset
 
@@ -254,12 +295,14 @@ def _gauge_factor(cutoff: int) -> _GaugeFactor:
     n = len(gens)
     # rows [A | I]: on slot s, the generator coefficients and a unit row, so
     # a zero row of A carries its combination of slots along
-    pivots, rows = rref([[img.get(s, 0) for _, img in gens] + unit
-                         for s, unit in zip(slots, identity(len(slots)))], n)
+    A = [[img.get(s, 0) for _, img in gens] for s in slots]
+    pivots, rows = rref([row + unit for row, unit in zip(A, identity(len(slots)))], n)
     transform = IntRows.from_rational(list(zip(*rows))[n:])
+    span = IntRows([sparse_row(enumerate(row)) for row in A], 1)
     columns = {s: j for j, s in enumerate(slots)}
     touched = frozenset(s for _, img in gens for s in img)
-    factor = _FACTORS[cutoff] = _GaugeFactor(gens, pivots, transform, columns, touched)
+    factor = _FACTORS[cutoff] = _GaugeFactor(gens, pivots, transform, span, slots, columns,
+                                             touched)
     return factor
 
 
@@ -276,38 +319,40 @@ def membership_oracle(p: PseudoPoly, cutoff: int):
     if _max_degree(p) > cutoff:
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
     factor = _gauge_factor(cutoff)
-    gens, columns, transform = factor.gens, factor.columns, factor.transform
-    nums, den = _numerators(p.terms.values())
-    tb = transform.combine([(columns[s], n) for s, n in zip(p.terms, nums)])
-    # T b is tb / (den * transform.denominator); a dual is a row of T
+    transform, columns = factor.transform, factor.columns
+    (b,), den = _integers(p)
+    tb = transform.combine([(columns[s], n) for s, n in b])
+    # T b is tb / (den * transform.denominator); a certificate is a row of T
     rank = len(factor.pivots)
     bad = min((r for r, v in tb.items() if v and r >= rank), default=None)
     if bad is not None:
-        dual = {s: coefs[rows.index(bad)]
-                for s, (rows, coefs) in zip(columns, transform.rows) if bad in rows}
-        if (not sum(dual.get(s, 0) * n for s, n in zip(p.terms, nums))
-                or any(sum(dual.get(s, 0) * v for s, v in img.items()) for _, img in gens)):
+        dual = transform.column(bad)  # (slot index, numerator) pairs
+        weight = dict(dual)
+        # dual.p over p's support, and dual.A for every generator at once
+        if (not sum(weight.get(columns[s], 0) * n for s, n in b)
+                or any(factor.span.combine(dual).values())):
             raise AssertionError("non-membership certificate failed to separate")
-        return False, {s: Fraction(v, transform.denominator) for s, v in dual.items()}
-    den *= transform.denominator
+        return False, {factor.slots[j]: Fraction(v, transform.denominator) for j, v in dual}
     alpha, beta, chi = {}, {}, {}
-    for r, c in factor.pivots:
-        if not tb.get(r):
-            continue
-        coeff = Fraction(tb[r], den)
-        kind, idx = gens[c][0]
+    # every nonzero of T b is on a pivot row, and rref's pivot rows are
+    # 0, 1, ..., rank - 1 in order
+    for r in sorted(r for r, n in tb.items() if n):
+        n = tb[r]
+        kind, idx = factor.gens[factor.pivots[r][1]][0]
         if kind == "beta":
-            beta[(0, idx)] = coeff
+            beta[(0, idx)] = n
         elif kind == "chi_x":
-            chi[(idx, 0)] = coeff
+            chi[(idx, 0)] = n
         else:
-            # [x^i y, x] = -x^i, so keeping gammaF at zero costs alpha = -coeff x^i
-            chi[(idx, 1)] = coeff
-            alpha[(idx, 0)] = -coeff
-    witness = GaugeDatum(PseudoPoly(W1, alpha), PseudoPoly(W1, beta), PseudoPoly(W1, chi))
-    if not apply_gauge(W1Cocycle(W1.zero, p), witness).is_zero():
+            # [x^i y, x] = -x^i, so keeping gammaF at zero costs alpha = -n x^i
+            chi[(idx, 1)] = n
+            alpha[(idx, 0)] = -n
+    scale = transform.denominator
+    if (any(_move((), alpha.items(), chi.items(), _X).values())
+            or any(_move([(s, n * scale) for s, n in b], beta.items(), chi.items(), _Y).values())):
         raise AssertionError("membership witness failed to kill the cocycle")
-    return True, witness
+    den *= scale
+    return True, GaugeDatum(_poly(alpha, den), _poly(beta, den), _poly(chi, den))
 
 
 def reduce(coc: W1Cocycle, cutoff: int) -> dict:
@@ -319,23 +364,40 @@ def reduce(coc: W1Cocycle, cutoff: int) -> dict:
     report carries both answers (their agreement is the consistent flag)
     plus the oracle's witness or certificate, and flags the
     pure-x monomials whose vanishing separates the two reference readings
-    of the surviving set.  Raises ValueError for a negative cutoff.
+    of the surviving set.  The kill and the check that the combined
+    witness kills the cocycle run on one integer form of the cocycle;
+    Fractions are built for the report and the oracle's input alone.
+    Raises ValueError for a negative cutoff.
     """
     _check_cutoff(cutoff)
     if max(_max_degree(coc.gamma_f), _max_degree(coc.gamma_g)) > cutoff:
         raise CutoffTooSmall(f"support exceeds degree {cutoff}")
-    killed, kill_witness = kill_gamma_f(coc)
-    touched = _gauge_factor(cutoff).touched
-    representative = killed.gamma_g._like(
-        {k: v for k, v in killed.gamma_g.terms.items() if k not in touched})
-    accepted, payload = membership_oracle(killed.gamma_g, cutoff)
+    gamma_f, gamma_g, kill, killed, den = _kill(coc)
+    kill_witness = GaugeDatum(W1.zero, W1.zero, _poly(dict(kill), den))
+    killed = _poly(killed, den)
+    factor = _gauge_factor(cutoff)
+    representative = killed._like(
+        {k: v for k, v in killed.terms.items() if k not in factor.touched})
+    accepted, payload = membership_oracle(killed, cutoff)
     full_witness = None
     if accepted:
-        full_witness = kill_witness + payload
-        if not apply_gauge(coc, full_witness).is_zero():
+        # the witness's denominators divide den times the transform's
+        scale = factor.transform.denominator
+        den *= scale
+        alpha, beta, chi = [[(k, c.numerator * (den // c.denominator))
+                             for k, c in part.terms.items()]
+                            for part in (payload.alpha, payload.beta, payload.chi)]
+        full = {k: n * scale for k, n in kill}
+        for k, n in chi:
+            full[k] = full.get(k, 0) + n
+        if (any(_move([(k, n * scale) for k, n in gamma_f], alpha, full.items(), _X).values())
+                or any(_move([(k, n * scale) for k, n in gamma_g], beta, full.items(),
+                             _Y).values())):
             raise AssertionError("combined witness failed on the original cocycle")
+        # the kill moves chi alone, so the combined alpha and beta are the oracle's
+        full_witness = GaugeDatum(payload.alpha, payload.beta, _poly(full, den))
     x_family = sorted(
-        (i, j) for (i, j) in killed.gamma_g.terms if i > 0 and j == 0
+        (i, j) for (i, j) in killed.terms if i > 0 and j == 0
     )
     conflict = bool(x_family) and all(m not in representative.terms for m in x_family)
     return {

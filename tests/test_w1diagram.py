@@ -5,7 +5,7 @@ import pytest
 
 from diagdeform import w1diagram
 from diagdeform.cli import _encode
-from diagdeform.linalg import identity, mat_vec, rref
+from diagdeform.linalg import identity, mat_vec, rref, sparse_row
 from diagdeform.qweyl import PseudoPoly, classical
 from diagdeform.scalars import ContextMismatch, _numerators
 from diagdeform.w1diagram import (
@@ -68,6 +68,14 @@ def test_kill_gamma_f_random_roundtrip():
         out, witness = kill_gamma_f(coc)
         assert out.gamma_f.is_zero()
         assert apply_gauge(coc, witness) == out
+
+
+def test_kill_rechecks_gamma_f_through_the_product_kernel(monkeypatch):
+    # With the block rule y^2 x = x y^2 - 2 y corrupted to x y^2, the chi =
+    # x y^2 / 2 built for gammaF = x y commutes with x and kills nothing.
+    monkeypatch.setitem(W1._shift_cache, (2, 1), {(1, 2): 1})
+    with pytest.raises(AssertionError, match="did not vanish"):
+        kill_gamma_f(W1Cocycle({(1, 1): F(1)}, {}))
 
 
 def test_membership_pure_y_power():
@@ -155,6 +163,25 @@ def test_membership_reads_each_transform_row_over_its_denominator(monkeypatch):
             assert got.to_json() == payload.to_json()
         else:
             assert list(got.items()) == list(payload.items())
+
+
+def test_membership_rechecks_the_certificate_against_every_generator(monkeypatch):
+    # Give the certificate row of T one more entry, -1 on the slot x^2. That
+    # slot lies outside p's support, so dual.p stays nonzero, and the only
+    # generator it meets is chi = x^3, image -3 x^2: the corrupted dual pairs
+    # with it to 3, which dual.A alone can see (-1 // -3 would read 0).
+    monkeypatch.setattr(w1diagram, "_FACTORS", {})
+    factor = w1diagram._gauge_factor(6)
+    rank = len(factor.pivots)
+    T = factor.transform.rows
+    rows, coefs = T[factor.columns[(1, 2)]]
+    (bad,) = [r for r in rows if r >= rank]
+    assert coefs[rows.index(bad)]
+    x2 = factor.columns[(2, 0)]
+    assert factor.span.rows[x2][1] == (-3,)  # one generator meets x^2
+    T[x2] = sparse_row(list(zip(*T[x2])) + [(bad, -1)])
+    with pytest.raises(AssertionError, match="separate"):
+        membership_oracle(W1.monomial(1, 2), 6)
 
 
 def test_sparse_transform_product_matches_the_dense_fraction_product():
