@@ -60,7 +60,7 @@ from .w1diagram import (
     random_gauge,
     reduce as w1_reduce,
 )
-from .weyl_iso import gz_element, recursion_report, solve_z, verify_closed_form
+from .weyl_iso import gz_element, recursion_report, verify_closed_form
 
 DEFAULT_SEED = 1729
 
@@ -162,10 +162,10 @@ def criterion_geometric_series(seed=DEFAULT_SEED):
 
 def criterion_weyl_iso(seed=DEFAULT_SEED):
     """Solver etas, closed form, recurrence, and the recorded discrepancies."""
-    etas = solve_z(10)
+    vf = verify_closed_form(10)
+    etas = vf["etas"]
     eta1_ok = etas[0].terms == {(1, 2): F(1, 2)}
     eta2_ok = etas[1].terms == {(2, 3): F(1, 3), (1, 2): F(-1, 4)}
-    vf = verify_closed_form(10)
     rr = recursion_report(3)
     checks = {
         "eta1_is_half_x_y2": eta1_ok,

@@ -49,6 +49,7 @@ def m_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+@cache
 def degrevlex_key(m):
     """Sort key: larger key means larger monomial."""
     return (sum(m), tuple(-e for e in reversed(m)))
@@ -163,13 +164,13 @@ def normal_form(p: MultiPoly, basis, pivot_log=None, leads=None):
         lc = g.terms[lm]
         if pivot_log is not None:
             pivot_log.append(lc)
-        factor = c / lc
+        factor = c if lc == 1 else c / lc
         u = m_div(m, lm)
         for mg, cg in g.terms.items():
+            if mg == lm:
+                continue  # its term cancels c m by construction
             t = m_mul(mg, u)
             cur = work.get(t, QQ_LAMBDA.zero) - factor * cg
-            if t == m:
-                continue
             if cur.is_zero():
                 work.pop(t, None)
             else:
@@ -177,12 +178,19 @@ def normal_form(p: MultiPoly, basis, pivot_log=None, leads=None):
     return p._like(out)
 
 
+def _over_lead(f: MultiPoly, lead, mono) -> MultiPoly:
+    """mono * f over the leading coefficient of f, whose leading monomial is
+    lead; a unit lead, as on every monic basis element, scales nothing."""
+    lc = f.terms[lead]
+    if lc == 1:
+        return f._like({m_mul(m, mono): c for m, c in f.terms.items()})
+    return f.term_mul(mono, lc.inverse())
+
+
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     lf, lg = f.leading_monomial(), g.leading_monomial()
     l = m_lcm(lf, lg)
-    return f.term_mul(m_div(l, lf), f.leading_coeff().inverse()) - g.term_mul(
-        m_div(l, lg), g.leading_coeff().inverse()
-    )
+    return _over_lead(f, lf, m_div(l, lf)) - _over_lead(g, lg, m_div(l, lg))
 
 
 class GroebnerRun:

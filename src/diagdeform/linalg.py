@@ -1,8 +1,10 @@
 """The exact linear-algebra core; no other module defines a matrix helper.
 
 Dense helpers take vectors as lists and matrices as lists of rows and use
-only + and * of the entries, which must commute, so they serve Fraction
-matrices in diagram and QQ(q) matrices in qweyl alike.  rref is exact
+only + and * of the entries, which must commute; they serve the Fraction
+matrices of diagram.  sparse_mat_mul multiplies matrices whose rows are
+{column: entry} dicts of nonzero entries of any commutative ring, such as
+the triangular QQ[q] Stirling matrices of qweyl.  rref is exact
 Gauss-Jordan elimination over QQ, for nerve cohomology and the W_1 gauge
 membership oracle.  IntRows is the one sparse integer row format: the
 coboundary matrices (apply), the gauge transform by columns and the gauge
@@ -54,6 +56,27 @@ def mat_mul(A, B):
 
 def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
+
+
+# ----------------------------------------------------------- sparse rows
+
+
+def sparse_mat_mul(A, B):
+    """The product of two sparse matrices as a list of {column: entry} rows.
+
+    A is an iterable of rows and B is indexed by A's column keys, each row a
+    dict of its nonzero entries.  Only products of nonzero entries are
+    formed, each sum starts from its first product, and entries that cancel
+    are dropped, so equal products have equal rows.
+    """
+    out = []
+    for row in A:
+        acc = {}
+        for k, a in row.items():
+            for j, b in B[k].items():
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 # -------------------------------------------------------------- elimination

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import identity, mat_eq, mat_mul
+from .linalg import sparse_mat_mul
 from .scalars import (
     ContextMismatch,
     QQ,
@@ -88,11 +88,18 @@ class PseudoPoly(SparsePoly):
         return result
 
 
+# The powers of q and the block rules of y^j x^k depend on the scalar ring
+# and q alone, so contexts with equal (ring, q) share one table of them.
+_RULES = {}
+
+
 class QWeyl(SparsePolyRing):
     """Context object: scalar ring plus the chosen value of q.
 
     The algebra is also the ring of its own elements, so that TruncSeries
-    can carry PseudoPoly coefficients.
+    can carry PseudoPoly coefficients.  Contexts compare by identity, and
+    elements of two contexts do not mix, even when the contexts share their
+    (ring, q) and with it their rule table.
     """
 
     def __init__(self, ring, q):
@@ -101,11 +108,10 @@ class QWeyl(SparsePolyRing):
         super().__init__(PseudoPoly(self, {}), f"QWeyl(ring={ring!r})")
         self.x = PseudoPoly(self, {(1, 0): ring.one})
         self.y = PseudoPoly(self, {(0, 1): ring.one})
-        self._qpow = [ring.one]
+        self._qpow, self._shift_cache = _RULES.setdefault((ring, q), ([ring.one], {}))
         # over QQ with q an integer the products run on integers, and the
         # block rules carry int weights
         self._integral = ring is QQ and q.denominator == 1
-        self._shift_cache = {}
 
     def monomial(self, i: int, j: int, c=1) -> PseudoPoly:
         return PseudoPoly(self, {(i, j): c})
@@ -128,8 +134,9 @@ class QWeyl(SparsePolyRing):
     def _shift(self, j: int, k: int):
         """Normal form of y^j x^k as a dict of (i', j') -> coefficient.
 
-        Recurses on y^j x = q^j x y^j - [j] y^(j-1) and caches per context.
-        The coefficients are ints in an integral context, ring elements
+        Recurses on y^j x = q^j x y^j - [j] y^(j-1) and caches per (ring, q),
+        in the table that every context with that ring and q shares.  The
+        coefficients are ints in an integral context, ring elements
         otherwise.
         """
         key = (j, k)
@@ -316,24 +323,26 @@ def stirling_second(n: int):
 def stirling_inverse_check(n: int) -> bool:
     """The two triangles are transition matrices between the bases
     {x^k y^k} and {(xy)^m} of the degree-zero part, once the first-kind
-    rows are divided by the pochhammer power q^(k(k-1)/2).  This checks
-    both matrix products against the identity, exactly over QQ(q).
+    rows are divided by the pochhammer power q^(k(k-1)/2).
+
+    With F the first-kind and S the second-kind triangle, D the diagonal
+    matrix of those powers, N = n(n-1)/2 and D' = q^N D^(-1), this checks
+    F S = D and (S D') F = q^N I exactly over QQ[q]: the same two-sided
+    statement as (D^(-1) F) S = S (D^(-1) F) = I, with no denominator in
+    any entry.  The products run on sparse rows.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    ring = RatFuncRing(QVAR)
     q = RatFunc.gen(QVAR)
     first = stirling_first(n)
     second = stirling_second(n)
-    A = [[ring.zero] * n for _ in range(n)]  # x^k y^k in terms of (xy)^m
-    for k in range(1, n + 1):
-        scale = (q ** (k * (k - 1) // 2)).inverse()
-        for m, c in first[k].items():
-            A[k - 1][m - 1] = scale * c
-    B = [[second[m].get(k, ring.zero) for k in range(1, n + 1)]  # (xy)^m in x^k y^k
-         for m in range(1, n + 1)]
-    one = identity(n)
-    return mat_eq(mat_mul(A, B), one) and mat_eq(mat_mul(B, A), one)
+    ks = range(1, n + 1)
+    top = n * (n - 1) // 2
+    exps = {k: k * (k - 1) // 2 for k in ks}
+    if sparse_mat_mul([first[k] for k in ks], second) != [{k: q ** exps[k]} for k in ks]:
+        return False
+    sd = [{k: c * q ** (top - exps[k]) for k, c in second[m].items()} for m in ks]
+    return sparse_mat_mul(sd, first) == [{m: q ** top} for m in ks]
 
 
 def commutator_divisibility(n: int):

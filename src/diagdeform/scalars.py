@@ -472,7 +472,8 @@ class RatFunc:
     reduces only by gcds of parts already known to be coprime (Henrici,
     JACM 3, 1956; Knuth, TAOCP vol. 2, section 4.5.1): ``+`` by the gcd of
     the denominators and ``*`` by cross-cancelling each numerator against
-    the other denominator.  Unary minus, ``**`` and ``inverse`` run no gcd.
+    the other denominator.  Unary minus, ``**`` and ``inverse`` run no gcd,
+    and ``*`` by 0 or 1 returns an operand as it is.
     """
 
     __slots__ = ("num", "den")
@@ -616,6 +617,11 @@ class RatFunc:
         if not a.ints:
             return self
         if not c.ints:
+            return other
+        # a unit factor, (1,) over 1 with denominator 1, leaves the other
+        if c.ints == (1,) and c.denom == 1 and len(d.ints) == 1:
+            return self
+        if a.ints == (1,) and a.denom == 1 and len(b.ints) == 1:
             return other
         # cross-cancel: a/b and c/d are reduced, so only gcd(a, d) and
         # gcd(c, b) can cancel from (a c) / (b d)
@@ -1094,9 +1100,15 @@ class TruncSeries:
         return TruncSeries._make(self.ring, self.order, [-c for c in self._data], self.denom)
 
     def _plus(self, other, sign: int) -> "TruncSeries":
-        """self + sign * other for sign 1 or -1, to the smaller order."""
+        """self + sign * other for sign 1 or -1, to the smaller order; at
+        equal orders a zero term leaves the other as it is."""
         n = min(self.order, other.order)
         a, b = self._data, other._data
+        if self.order == other.order:
+            if not any(b):
+                return self
+            if sign > 0 and not any(a):
+                return other
         if self.denom is None:
             return TruncSeries._make(self.ring, n, [x + y for x, y in zip(a, b)] if sign > 0
                                      else [x - y for x, y in zip(a, b)])
@@ -1127,6 +1139,11 @@ class TruncSeries:
         n = min(self.order, other.order)
         a, b = self._data, other._data
         if self.denom is not None:
+            # a unit factor, 1 over 1, leaves the other truncated to order n
+            if a[0] == 1 and self.denom == 1 and a.count(0) == self.order:
+                return TruncSeries._make(QQ, n, b[: n + 1], other.denom)
+            if b[0] == 1 and other.denom == 1 and b.count(0) == other.order:
+                return TruncSeries._make(QQ, n, a[: n + 1], self.denom)
             if a.count(0) < b.count(0):
                 a, b = b, a  # the sparser operand drives the outer loop
             return TruncSeries._make(QQ, n, _convolve(a, b, n), self.denom * other.denom)

@@ -83,10 +83,12 @@ def _hbar_slice(p: PseudoPoly, r: int, target: QWeyl) -> PseudoPoly:
 
 def _at_order(p: PseudoPoly, target: QWeyl, r: int) -> PseudoPoly:
     """Embed a rational-coefficient pseudopolynomial at the hbar^r slot."""
-    ring = target.ring
+    order = target.ring.order
     terms = {}
     for key, c in p.terms.items():
-        terms[key] = TruncSeries(ring.base, ring.order, [Fraction(0)] * r + [c])
+        slot = [0] * (order + 1)
+        slot[r] = c.numerator
+        terms[key] = TruncSeries._make(QQ, order, slot, c.denominator)
     return target.zero._like(terms)
 
 

@@ -104,6 +104,28 @@ def test_buchberger_sphere_ideal_frozen_basis():
     }
 
 
+def non_unit_lead_ideal():
+    """Generators with leading coefficients 2 and lambda, so that the run
+    divides by leads other than 1."""
+    return [(X * Y).scale(2) - Z, (Y * Y).scale(lam) - W, X * Z - ONE]
+
+
+def test_buchberger_non_unit_leads_frozen_run():
+    run = buchberger(non_unit_lead_ideal())
+    assert run.basis == [
+        X * X * W - Y.scale(lam / 2),
+        X * Y - Z.scale(Fraction(1, 2)),
+        Y * Y - W.scale(lam.inverse()),
+        X * Z - ONE,
+        Y * Z - (X * W).scale(2 / lam),
+        Z * Z - Y.scale(2),
+    ]
+    assert_reduced(run.basis)
+    assert run.pre_monic_leads == [2, lam, 1, Fraction(-1, 2), Fraction(-1, 2), 2 / lam]
+    assert run.pivot_log == [1] * 8
+    assert (run.spairs_reduced, run.spairs_skipped) == (8, 7)
+
+
 def test_buchberger_is_input_order_invariant():
     gens = sphere_ideal()
     base = buchberger(gens).basis
@@ -230,12 +252,14 @@ def test_buchberger_matches_sympy_groebner():
                    for (a, b, e, f), c in g.terms.items())
         return sympy.Poly(expr, x, y, z, w, domain=field).monic()
 
-    expected = sympy.groebner([x * y - 1, (x - 1) * z - 1, (x - lm) * w - 1],
-                              x, y, z, w, order="grevlex", domain=field)
-    ours = [to_sympy(g) for g in buchberger(sphere_ideal()).basis]
-    theirs = [p.monic() for p in expected.polys]
-    assert len(ours) == len(theirs) == 6
-    assert all(p in theirs for p in ours)
+    cases = [(sphere_ideal(), [x * y - 1, (x - 1) * z - 1, (x - lm) * w - 1]),
+             (non_unit_lead_ideal(), [2 * x * y - z, lm * y**2 - w, x * z - 1])]
+    for gens, sympy_gens in cases:
+        expected = sympy.groebner(sympy_gens, x, y, z, w, order="grevlex", domain=field)
+        ours = [to_sympy(g) for g in buchberger(gens).basis]
+        theirs = [p.monic() for p in expected.polys]
+        assert len(ours) == len(theirs) == 6
+        assert all(p in theirs for p in ours)
 
 
 def test_buchberger_results_are_reduced():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from diagdeform.linalg import IntRows, identity, mat_eq, mat_mul, mat_vec, rref
+from diagdeform.linalg import IntRows, identity, mat_eq, mat_mul, mat_vec, rref, sparse_mat_mul
 from diagdeform.scalars import QVAR, RatFunc, UniPoly
 
 F = Fraction
@@ -124,9 +124,12 @@ def test_dense_products_over_qq_q_match_sympy():
         n, m, p = (rng.randint(1, 3) for _ in range(3))
         A = [[entry() for _ in range(m)] for _ in range(n)]
         B = [[entry() for _ in range(p)] for _ in range(m)]
-        got = to_sympy_matrix(mat_mul(A, B), ratfunc)
+        rows = sparse_mat_mul(*([{j: c for j, c in enumerate(r) if c} for r in M] for M in (A, B)))
+        assert all(all(r.values()) for r in rows)  # no zero entry is kept
         want = to_sympy_matrix(A, ratfunc) * to_sympy_matrix(B, ratfunc)
-        assert (got - want).applyfunc(sympy.cancel) == sympy.zeros(n, p)
+        for C in (mat_mul(A, B), [[r.get(j, RatFunc.zero(QVAR)) for j in range(p)] for r in rows]):
+            got = to_sympy_matrix(C, ratfunc)
+            assert (got - want).applyfunc(sympy.cancel) == sympy.zeros(n, p)
         assert mat_eq(mat_mul(identity(n), A), A) and mat_eq(mat_mul(A, identity(m)), A)
 
 

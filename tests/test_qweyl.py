@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import diagdeform.qweyl as qweyl
 from diagdeform.qweyl import (
     QWeyl,
     classical,
@@ -14,7 +15,7 @@ from diagdeform.qweyl import (
     stirling_second,
     symbolic,
 )
-from diagdeform.scalars import QQ, QVAR, RatFunc, UniPoly
+from diagdeform.scalars import QQ, QVAR, ContextMismatch, RatFunc, UniPoly
 
 
 Q = RatFunc.gen(QVAR)
@@ -145,6 +146,20 @@ def test_stirling_mutually_inverse():
     assert stirling_inverse_check(5)
 
 
+@pytest.mark.parametrize("which", ["first", "second"])
+@pytest.mark.parametrize("row, col", [(4, 2), (2, 4)], ids=["below", "above"])
+def test_stirling_check_rejects_a_corrupted_entry(monkeypatch, which, row, col):
+    real = getattr(qweyl, f"stirling_{which}")
+
+    def corrupted(n):
+        triangle = real(n)
+        triangle[row][col] = triangle[row].get(col, RatFunc.zero(QVAR)) + Q
+        return triangle
+
+    monkeypatch.setattr(qweyl, f"stirling_{which}", corrupted)
+    assert not stirling_inverse_check(5)
+
+
 @pytest.mark.parametrize("fn", [stirling_first, stirling_second, stirling_inverse_check])
 @pytest.mark.parametrize("n", [0, -3])
 def test_stirling_rejects_vacuous_sizes(fn, n):
@@ -198,6 +213,31 @@ def test_foreign_context_rejected():
     W1, W2 = symbolic(), symbolic()
     with pytest.raises(ValueError):
         W1.multiply(W1.x, W2.y)
+
+
+@pytest.mark.parametrize("make", [symbolic, lambda: deformed(6), classical],
+                         ids=["symbolic", "deformed(6)", "classical"])
+def test_block_rules_match_the_free_word_oracle(make):
+    W = make()
+    for j in range(7):
+        for k in range(7):
+            assert W._shift(j, k) == W.normalize([(1, "y" * j + "x" * k)]).terms, (j, k)
+
+
+def test_contexts_share_one_rule_table_per_ring_and_q():
+    a, b = deformed(6), deformed(6)
+    assert b._shift_cache is a._shift_cache and b._qpow is a._qpow
+    for other in (deformed(7), QWeyl(QQ, Fraction(2, 3))):
+        assert other._shift_cache is not a._shift_cache
+    assert classical()._shift_cache is not QWeyl(QQ, Fraction(2, 3))._shift_cache
+    # sharing the rules does not let elements of two contexts mix
+    for u, v in ((a, b), (a, deformed(7))):
+        assert u != v
+        for op in (u.multiply, u.commutator):
+            with pytest.raises(ContextMismatch):
+                op(u.x, v.y)
+        with pytest.raises(ContextMismatch):
+            u.x + v.y
 
 
 def _fraction_element(W, rng, maxdeg, nterms):

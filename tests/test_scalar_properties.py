@@ -125,10 +125,14 @@ def _pair(b_choice, parts):
     if kind == "product_to" and a:
         p = _from_parts(other)
         return a, RatFunc(p.num * a.den, p.den * a.num)
+    if kind == "unit":
+        return a, RatFunc.one(QVAR)
+    if kind == "zero":
+        return a, RatFunc.zero(QVAR)
     return a, _from_parts(other)
 
 
-KINDS = ("independent", "same_den", "negated", "sum_to", "product_to")
+KINDS = ("independent", "same_den", "negated", "sum_to", "product_to", "unit", "zero")
 pooled_pairs = st.builds(_pair, st.tuples(st.sampled_from(KINDS), raw_parts), raw_parts)
 
 
@@ -157,6 +161,7 @@ def test_ratfunc_arithmetic_matches_schoolbook_formulas(pair, n):
     assert_reduced_and_equal(a + b, RatFunc(an * bd + bn * ad, ad * bd))
     assert_reduced_and_equal(a - b, RatFunc(an * bd - bn * ad, ad * bd))
     assert_reduced_and_equal(a * b, RatFunc(an * bn, ad * bd))
+    assert_reduced_and_equal(b * a, RatFunc(bn * an, bd * ad))
     assert_reduced_and_equal(-a, RatFunc(-an, ad))
     if not b.is_zero():
         assert_reduced_and_equal(a / b, RatFunc(an * bd, ad * bn))

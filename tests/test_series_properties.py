@@ -41,6 +41,13 @@ def coefficient_lists(draw, max_order=8, lead=sparse_rationals):
     return [draw(lead)] + draw(st.lists(sparse_rationals, min_size=n, max_size=n))
 
 
+# the zero and the unit series of any order, which arithmetic returns
+# without computing, as often as general ones
+special_lists = st.builds(lambda lead, n: [lead] + [Fraction(0)] * n,
+                          st.sampled_from([Fraction(0), Fraction(1)]), st.integers(0, 8))
+operands = st.one_of(coefficient_lists(), special_lists)
+
+
 def convolve(a, b, n):
     """The first n + 1 coefficients of the product, by the textbook sum."""
     return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n + 1)]
@@ -51,19 +58,20 @@ def series(cs):
 
 
 @PROPERTY
-@given(coefficient_lists(), coefficient_lists(), rationals)
+@given(operands, operands, rationals)
 def test_qq_series_arithmetic_matches_fraction_lists(a, b, c):
     n = min(len(a), len(b)) - 1  # mixed orders truncate to the smaller one
     sa, sb = series(a), series(b)
-    assert (sa + sb).coeffs == tuple(x + y for x, y in zip(a, b))
+    assert (sa + sb).coeffs == (sb + sa).coeffs == tuple(x + y for x, y in zip(a, b))
     assert (sa - sb).coeffs == tuple(x - y for x, y in zip(a, b))
-    assert (sa * sb).coeffs == tuple(convolve(a, b, n))
+    assert (sb - sa).coeffs == tuple(y - x for x, y in zip(a, b))
+    assert (sa * sb).coeffs == (sb * sa).coeffs == tuple(convolve(a, b, n))
     assert (sa * sb).order == (sb * sa).order == n
     assert sa.scale(c).coeffs == tuple(c * x for x in a)
     assert (sa * c).coeffs == (c * sa).coeffs == tuple(c * x for x in a)
     assert (sa + c).coeffs == (a[0] + c,) + tuple(a[1:])
     assert (c - sa).coeffs == (c - a[0],) + tuple(-x for x in a[1:])
-    for s in (sa + sb, sa - sb, sa * sb, sa.scale(c)):
+    for s in (sa + sb, sb + sa, sa - sb, sb - sa, sa * sb, sb * sa, sa.scale(c)):
         assert all(type(x) is Fraction for x in s.coeffs)
         assert [s.coefficient(k) for k in range(s.order + 1)] == list(s.coeffs)
         assert s == series(list(s.coeffs))
