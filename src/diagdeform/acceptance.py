@@ -5,7 +5,10 @@ tolerance, and returns a report dict
 
     {"name": ..., "ok": bool, "checks": {label: bool}, "details": {...}}
 
-so the CLI and the test suite share one source of truth.  All randomness
+for the CLI and the test suite alike.  A check that a CLI subcommand also
+reports is one library function that both call, and the sample diagrams,
+morphism, glued algebra and triangle below are the CLI's too, so the two
+share one source of truth.  All randomness
 derives from a single seed through the split rng(seed, k) =
 Random(seed * 1_000_003 + k); the default seed is fixed, so reports are
 byte-identical across runs.
@@ -23,15 +26,14 @@ import time
 from fractions import Fraction
 
 from .diagram import (
-    DiagramCochain,
     DiagramOfAlgebras,
     SmallCategory,
     ToyAlgebra,
+    coboundary_squares_vanish,
     diagram_algebra,
     matrix_model_check,
     nerve,
     simplicial_cohomology,
-    total_coboundary,
     triangle_check,
 )
 from .groebner import (
@@ -44,14 +46,14 @@ from .groebner import (
 from .qweyl import (
     commutator_divisibility,
     deformed,
-    pochhammer_xy,
+    pochhammer_exponents,
     stirling_inverse_check,
     symbolic,
 )
-from .scalars import LAMBDA, RatFunc, TruncSeries
-from .sphere import SphereElement, geometric_series_check
-from .sphere_cohomology import SphereClassRep, canonical_class, h2_basis
-from .star import P2, Poly2, StarSpec, associativity_check, grading_check, star_commutator
+from .scalars import LAMBDA, RatFunc
+from .sphere import geometric_series_check
+from .sphere_cohomology import SphereClassRep, canonical_class_fixes, h2_basis
+from .star import StarSpec, associativity_check, commutator_is_hbar, grading_check
 from .w1diagram import (
     W1,
     W1Cocycle,
@@ -137,9 +139,7 @@ def criterion_sphere_h2(seed=DEFAULT_SEED):
     expected_full = [SphereClassRep(x_coeff=one)] + [
         SphereClassRep(pole_one={m: one}) for m in range(1, 11)
     ]
-    idempotent = all(
-        canonical_class(rep.embed(), SphereElement.zero()) == rep for rep in full
-    )
+    idempotent = canonical_class_fixes(full)
     elapsed = time.perf_counter() - t0
     checks = {
         "unrestricted_basis_is_x_plus_poles_at_one": full == expected_full,
@@ -166,7 +166,7 @@ def criterion_weyl_iso(seed=DEFAULT_SEED):
     etas = vf["etas"]
     eta1_ok = etas[0].terms == {(1, 2): F(1, 2)}
     eta2_ok = etas[1].terms == {(2, 3): F(1, 3), (1, 2): F(-1, 4)}
-    rr = recursion_report(3)
+    rr = recursion_report(etas[:3])
     checks = {
         "eta1_is_half_x_y2": eta1_ok,
         "eta2_matches": eta2_ok,
@@ -205,11 +205,7 @@ def criterion_star_products(seed=DEFAULT_SEED):
     normal = StarSpec.normal()
     moyal = StarSpec.moyal()
     qplane = StarSpec.qplane()
-    hbar_series = TruncSeries(P2, 4, [Poly2.zero(), Poly2.const(1)])
-    comm_ok = all(
-        star_commutator(Poly2.x(), Poly2.y(), spec, 4) == hbar_series
-        for spec in (normal, moyal)
-    )
+    comm_ok = all(commutator_is_hbar(spec) for spec in (normal, moyal))
     a_norm = associativity_check(normal, order=6, trials=50, seed=seed * 1_000_003 + 1)
     a_moyal = associativity_check(moyal, order=6, trials=50, seed=seed * 1_000_003 + 2)
     a_qpl = associativity_check(qplane, order=5, trials=50, seed=seed * 1_000_003 + 3)
@@ -244,21 +240,15 @@ def criterion_q_identities(seed=DEFAULT_SEED):
             eqs = False
     divisible = all(commutator_divisibility(n)["divisible"] for n in range(1, 11))
     stirling = stirling_inverse_check(8)
-    poch_exponents = []
-    poch_ok = True
-    for n in range(1, 9):
-        _, e = pochhammer_xy(n)
-        poch_exponents.append(e)
-        if e != n * (n - 1) // 2:
-            poch_ok = False
+    poch = pochhammer_exponents(8)
     checks = {
         "q_commutation_identities_n_to_10": eqs,
         "brackets_divisible_by_q_integer_n_to_10": divisible,
         "stirling_triangles_mutually_inverse_n_8": stirling,
-        "pochhammer_exponent_matches_n_choose_2": poch_ok,
+        "pochhammer_exponent_matches_n_choose_2": poch["ok"],
     }
     return _wrap("q-weyl-identities", checks, {
-        "pochhammer_exponents": poch_exponents,
+        "pochhammer_exponents": poch["exponents"],
         "pochhammer_closed_formula": "n*(n-1)/2",
     })
 
@@ -279,12 +269,17 @@ def criterion_rewriting_oracle(seed=DEFAULT_SEED):
     return _wrap("rewriting-oracle", checks, {"failures": failures})
 
 
+def sample_morphism():
+    """The projection QQ^2 -> QQ[e]/(e^2) onto the first idempotent."""
+    return [[F(1), F(0)], [F(0), F(0)]]
+
+
 def sample_arrow_diagram() -> DiagramOfAlgebras:
-    """Arrow category, QQ^2 feeding the dual numbers through a projection."""
+    """Arrow category, QQ^2 feeding the dual numbers through sample_morphism."""
     return DiagramOfAlgebras(
         SmallCategory.arrow(),
         {"A": ToyAlgebra.diagonal(2), "B": ToyAlgebra.dual_numbers()},
-        {"u": [[F(1), F(0)], [F(0), F(0)]]},
+        {"u": sample_morphism()},
     )
 
 
@@ -293,16 +288,28 @@ def sample_cospan_diagram() -> DiagramOfAlgebras:
         SmallCategory.cospan(),
         {"A": ToyAlgebra.diagonal(2), "B": ToyAlgebra.field(),
          "C": ToyAlgebra.dual_numbers()},
-        {"u": [[F(1), F(0)]], "v": [[F(1), F(0)], [F(0), F(0)]]},
+        {"u": [[F(1), F(0)]], "v": sample_morphism()},
     )
 
 
-def sample_triangle():
-    """(alpha, beta, Gamma^alpha, Gamma^beta, Gamma^theta) for QQ -> QQ^2 -> QQ,
-    with Gamma^theta = beta Gamma^alpha + Gamma^beta alpha = 3 so that the
-    triangle condition holds."""
-    return ([[F(1)], [F(0)]], [[F(1), F(1)]], [[F(2)], [F(1)]], [[F(0), F(3)]],
-            [[F(3)]])
+def sample_glued_algebra():
+    """QQ^2 glued to the dual numbers along sample_morphism, or None when
+    the glued table fails its associativity and unit audit."""
+    try:
+        return diagram_algebra(ToyAlgebra.diagonal(2), ToyAlgebra.dual_numbers(),
+                               sample_morphism())
+    except ValueError:
+        return None
+
+
+def sample_triangle_verdicts():
+    """triangle_check for QQ -> QQ^2 -> QQ with Gamma^theta = beta Gamma^alpha
+    + Gamma^beta alpha = 3, where the condition holds, and with Gamma^theta
+    = 0, where it fails."""
+    alpha, beta = [[F(1)], [F(0)]], [[F(1), F(1)]]
+    g_alpha, g_beta = [[F(2)], [F(1)]], [[F(0), F(3)]]
+    return (triangle_check(alpha, beta, g_alpha, g_beta, [[F(3)]]),
+            triangle_check(alpha, beta, g_alpha, g_beta, [[F(0)]]))
 
 
 def criterion_diagram(seed=DEFAULT_SEED):
@@ -317,30 +324,14 @@ def criterion_diagram(seed=DEFAULT_SEED):
         and simplicial_cohomology(SmallCategory.parallel_pair(), 1) == [1, 1]
         and simplicial_cohomology(SmallCategory.cospan(), 1) == [1, 0]
     )
-    arrow_diag = sample_arrow_diagram()
-    cospan_diag = sample_cospan_diagram()
-    rng = _rng(seed, 200)
-    delta_sq = True
-    for t in range(25):
-        D = (arrow_diag, cospan_diag)[t % 2]
-        g = DiagramCochain.random(D, t % 3, rng)
-        if not total_coboundary(total_coboundary(g)).is_zero():
-            delta_sq = False
-    # constructing the glued algebra runs the full associativity/unit audit
-    try:
-        diagram_algebra(ToyAlgebra.diagonal(2), ToyAlgebra.dual_numbers(),
-                        [[F(1), F(0)], [F(0), F(0)]])
-        glued_ok = True
-    except ValueError:
-        glued_ok = False
-    alpha, beta, g_alpha, g_beta, theta = sample_triangle()
-    tri_pass = triangle_check(alpha, beta, g_alpha, g_beta, theta)
-    tri_fail = triangle_check(alpha, beta, g_alpha, g_beta, [[F(0)]])
+    delta_sq = coboundary_squares_vanish(
+        (sample_arrow_diagram(), sample_cospan_diagram()), 25, _rng(seed, 200))
+    tri_pass, tri_fail = sample_triangle_verdicts()
     checks = {
         "boundary_squares_to_zero": boundary_sq,
         "cohomology_ranks_arrow_parallel_cospan": ranks_ok,
         "coboundary_squares_to_zero_25_trials": delta_sq,
-        "glued_algebra_associative_and_unital": glued_ok,
+        "glued_algebra_associative_and_unital": sample_glued_algebra() is not None,
         "glued_algebra_matches_triangular_matrices": matrix_model_check(),
         "triangle_condition_verdicts": tri_pass["holds"] and not tri_fail["holds"],
     }

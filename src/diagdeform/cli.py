@@ -27,20 +27,19 @@ from .acceptance import (
     run_suite,
     sample_arrow_diagram,
     sample_cospan_diagram,
-    sample_triangle,
+    sample_glued_algebra,
+    sample_morphism,
+    sample_triangle_verdicts,
 )
 from .diagram import (
-    DiagramCochain,
     SmallCategory,
     ToyAlgebra,
-    diagram_algebra,
+    coboundary_squares_vanish,
     hochschild_coboundary,
     matrix_model_check,
     nerve,
     simplicial_cohomology,
     single_morphism_embedding_check,
-    total_coboundary,
-    triangle_check,
 )
 from .groebner import (
     deformation_witness,
@@ -53,28 +52,26 @@ from .groebner import (
 )
 from .qweyl import (
     commutator_divisibility,
-    pochhammer_xy,
+    pochhammer_exponents,
     stirling_first,
     stirling_inverse_check,
     stirling_second,
 )
-from .scalars import TruncSeries, parse_rational
-from .sphere import SphereElement, geometric_series_check
+from .scalars import parse_rational
+from .sphere import geometric_series_check
 from .sphere_cohomology import (
     B_GENERATORS,
-    canonical_class,
+    canonical_class_fixes,
     descended_pole_set,
     exp_deform_morphism,
     h2_basis,
 )
 from .star import (
-    P2,
-    Poly2,
     StarSpec,
     associativity_check,
+    commutator_is_hbar,
     grading_check,
     qplane_relation_check,
-    star_commutator,
 )
 from .w1diagram import CutoffTooSmall, W1Cocycle, basis_report
 from .w1diagram import reduce as w1_reduce
@@ -162,13 +159,10 @@ def _report(command, params, verdicts, payload):
 
 def _cmd_sphere_h2(args):
     basis = h2_basis(args.cutoff, regular=args.regular)
-    idem = all(
-        canonical_class(rep.embed(), SphereElement.zero()) == rep for rep in basis
-    )
     return _report(
         "sphere h2",
         {"cutoff": args.cutoff, "regular": args.regular},
-        {"canonical_class_idempotent_on_basis": idem},
+        {"canonical_class_idempotent_on_basis": canonical_class_fixes(basis)},
         {"basis": [str(rep) for rep in basis], "size": len(basis)},
     )
 
@@ -296,21 +290,17 @@ def _cmd_weyl_stirling(args):
     n = args.n
     first = stirling_first(n)
     second = stirling_second(n)
-    poch = []
-    for m in range(1, n + 1):
-        _, e = pochhammer_xy(m)
-        poch.append(e)
+    poch = pochhammer_exponents(n)
     return _report(
         "weyl stirling",
         {"n": n},
         {"triangles_mutually_inverse": stirling_inverse_check(n),
-         "pochhammer_exponents_follow_n_choose_2": all(
-             e == m * (m - 1) // 2 for m, e in enumerate(poch, start=1))},
+         "pochhammer_exponents_follow_n_choose_2": poch["ok"]},
         {"first_kind": {str(k): {str(m): str(c) for m, c in row.items()}
                         for k, row in first.items()},
          "second_kind": {str(k): {str(m): str(c) for m, c in row.items()}
                          for k, row in second.items()},
-         "pochhammer_exponents": poch},
+         "pochhammer_exponents": poch["exponents"]},
     )
 
 
@@ -331,7 +321,7 @@ def _cmd_weyl_center(args):
 
 
 def _cmd_weyl_recursion(args):
-    rep = recursion_report(args.order)
+    rep = recursion_report(solve_z(args.order))
     payload = {
         "hat_rule": rep["hat_rule"],
         "hat_rule_holds": rep["hat_rule_holds"],
@@ -368,10 +358,7 @@ def _cmd_star_check(args):
     }
     payload = {"order": order, "trials": assoc["trials"], "seed": args.seed}
     if args.kind in ("normal", "moyal"):
-        hbar_series = TruncSeries(P2, 4, [Poly2.zero(), Poly2.const(1)])
-        verdicts["star_commutator_x_y_is_hbar"] = (
-            star_commutator(Poly2.x(), Poly2.y(), spec, 4) == hbar_series
-        )
+        verdicts["star_commutator_x_y_is_hbar"] = commutator_is_hbar(spec)
     else:
         rel = qplane_relation_check(order)
         verdicts["xy_equals_exp_hbar_times_yx"] = rel["ok"]
@@ -407,25 +394,16 @@ def _cmd_diagram_nerve(args):
 def _cmd_diagram_delta2(args):
     import random as _random
 
-    if args.trials < 1:
-        raise ValueError("need at least one trial")
     D = sample_arrow_diagram() if args.shape == "arrow" else sample_cospan_diagram()
     rng = _random.Random(args.seed)
-    ok = True
-    for t in range(args.trials):
-        g = DiagramCochain.random(D, t % 3, rng)
-        if not total_coboundary(total_coboundary(g)).is_zero():
-            ok = False
+    ok = coboundary_squares_vanish((D,), args.trials, rng)
     dual = ToyAlgebra.dual_numbers()
     table = {(i,): [Fraction(rng.randint(-2, 2)) for _ in range(dual.dim)]
              for i in range(dual.dim)}
     twice = hochschild_coboundary(dual, hochschild_coboundary(dual, table, 1), 2)
     hoch_ok = all(all(c == 0 for c in vec) for vec in twice.values())
     emb_ok = single_morphism_embedding_check(
-        ToyAlgebra.diagonal(2), dual,
-        [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]],
-        (0, 1, 2), rng,
-    )
+        ToyAlgebra.diagonal(2), dual, sample_morphism(), (0, 1, 2), rng)
     return _report(
         "diagram delta2",
         {"shape": args.shape, "trials": args.trials, "seed": args.seed},
@@ -437,27 +415,15 @@ def _cmd_diagram_delta2(args):
 
 
 def _cmd_diagram_algebra(args):
-    B = ToyAlgebra.diagonal(2)
-    A = ToyAlgebra.dual_numbers()
-    phi = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
-    try:
-        glued = diagram_algebra(B, A, phi)
-        glued_ok = True
-        dim = glued.dim
-    except ValueError:
-        glued_ok = False
-        dim = None
-    alpha, beta, g_alpha, g_beta, theta = sample_triangle()
-    tri = triangle_check(alpha, beta, g_alpha, g_beta, theta)
-    tri_zero = triangle_check(alpha, beta, g_alpha, g_beta,
-                              [[Fraction(0)]])
+    glued = sample_glued_algebra()
+    tri, tri_zero = sample_triangle_verdicts()
     return _report(
         "diagram algebra",
         {},
-        {"glued_algebra_associative_and_unital": glued_ok,
+        {"glued_algebra_associative_and_unital": glued is not None,
          "matches_triangular_2x2_matrices": matrix_model_check(),
          "triangle_verdicts_correct": tri["holds"] and not tri_zero["holds"]},
-        {"glued_dimension": dim,
+        {"glued_dimension": glued.dim if glued is not None else None,
          "triangle_pass": tri, "triangle_fail": tri_zero},
     )
 

@@ -407,14 +407,6 @@ class ToyAlgebra:
         ]
         return cls(3, table, [1, 1, 0])
 
-    def to_json(self):
-        entries = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if not vec_is_zero(self.table[i][j]):
-                    entries.append([i, j, [str(c) for c in self.table[i][j]]])
-        return {"dim": self.dim, "unit": [str(c) for c in self.unit], "table": entries}
-
     def __repr__(self):
         return f"ToyAlgebra(dim={self.dim})"
 
@@ -818,6 +810,20 @@ def total_coboundary(gamma: DiagramCochain) -> DiagramCochain:
         if table:
             components[key] = table
     return DiagramCochain._trusted(D, gamma.degree + 1, components)
+
+
+def coboundary_squares_vanish(diagrams, trials: int, rng: random.Random) -> bool:
+    """delta(delta g) = 0 for random cochains g, trial t of degree t mod 3
+    on diagrams[t mod len(diagrams)].  Every trial runs, so the cochains
+    drawn from rng do not depend on the verdicts."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    ok = True
+    for t in range(trials):
+        g = DiagramCochain.random(diagrams[t % len(diagrams)], t % 3, rng)
+        if not total_coboundary(total_coboundary(g)).is_zero():
+            ok = False
+    return ok
 
 
 # ------------------------------------------- the single-morphism special case

@@ -8,6 +8,9 @@ ring and the value of q, so the same code runs in three regimes:
   * q = 1, scalars QQ, the ordinary Weyl algebra;
   * q = 1 + hbar, scalars QQ[[hbar]] truncated, for formal deformations.
 
+context(ring, q) builds each of these algebras once, so there is one W_1,
+and its rule table is built once too.
+
 Two independent multiplication routes are kept side by side.  The fast one
 rewrites whole blocks via y^j x = q^j x y^j - [j] y^(j-1), where [j] is the
 q-integer 1 + q + ... + q^(j-1).  The slow one, normalize(), rewrites free
@@ -31,6 +34,7 @@ zero part is the commutative subalgebra generated by xy.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .linalg import sparse_mat_mul
 from .scalars import (
@@ -79,27 +83,14 @@ class PseudoPoly(SparsePoly):
             return self.algebra.multiply(self, other)
         return self.scale(other)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power in a noncommutative algebra")
-        result = self.algebra.one
-        for _ in range(n):
-            result = self.algebra.multiply(result, self)
-        return result
-
-
-# The powers of q and the block rules of y^j x^k depend on the scalar ring
-# and q alone, so contexts with equal (ring, q) share one table of them.
-_RULES = {}
-
 
 class QWeyl(SparsePolyRing):
     """Context object: scalar ring plus the chosen value of q.
 
     The algebra is also the ring of its own elements, so that TruncSeries
-    can carry PseudoPoly coefficients.  Contexts compare by identity, and
-    elements of two contexts do not mix, even when the contexts share their
-    (ring, q) and with it their rule table.
+    can carry PseudoPoly coefficients.  Contexts compare by identity and
+    elements of two contexts do not mix; ``context`` keeps one per (ring, q),
+    with its powers of q and its block rules.
     """
 
     def __init__(self, ring, q):
@@ -108,7 +99,7 @@ class QWeyl(SparsePolyRing):
         super().__init__(PseudoPoly(self, {}), f"QWeyl(ring={ring!r})")
         self.x = PseudoPoly(self, {(1, 0): ring.one})
         self.y = PseudoPoly(self, {(0, 1): ring.one})
-        self._qpow, self._shift_cache = _RULES.setdefault((ring, q), ([ring.one], {}))
+        self._qpow, self._shift_cache = [ring.one], {}
         # over QQ with q an integer the products run on integers, and the
         # block rules carry int weights
         self._integral = ring is QQ and q.denominator == 1
@@ -134,9 +125,8 @@ class QWeyl(SparsePolyRing):
     def _shift(self, j: int, k: int):
         """Normal form of y^j x^k as a dict of (i', j') -> coefficient.
 
-        Recurses on y^j x = q^j x y^j - [j] y^(j-1) and caches per (ring, q),
-        in the table that every context with that ring and q shares.  The
-        coefficients are ints in an integral context, ring elements
+        Recurses on y^j x = q^j x y^j - [j] y^(j-1) and caches per context.
+        The coefficients are ints in an integral context, ring elements
         otherwise.
         """
         key = (j, k)
@@ -227,21 +217,26 @@ class QWeyl(SparsePolyRing):
         return self._accumulate(a, b, True)
 
 
+@cache
+def context(ring, q) -> QWeyl:
+    """The one QWeyl algebra over ring with this q, so that every caller
+    shares its elements and its rule table."""
+    return QWeyl(ring, q)
+
+
 def symbolic() -> QWeyl:
     """W_q over QQ(q) with q a symbol."""
-    ring = RatFuncRing(QVAR)
-    return QWeyl(ring, RatFunc.gen(QVAR))
+    return context(RatFuncRing(QVAR), RatFunc.gen(QVAR))
 
 
 def classical() -> QWeyl:
     """The ordinary Weyl algebra, q = 1 over QQ."""
-    return QWeyl(QQ, Fraction(1))
+    return context(QQ, Fraction(1))
 
 
 def deformed(order: int) -> QWeyl:
     """W_q at q = 1 + hbar over truncated series of the given order."""
-    ring = SeriesRing(QQ, order)
-    return QWeyl(ring, one_plus_hbar(order))
+    return context(SeriesRing(QQ, order), one_plus_hbar(order))
 
 
 # ------------------------------------------------------------------ identities
@@ -271,6 +266,14 @@ def pochhammer_xy(n: int):
     if v is None or c.num != UniPoly.gen(QVAR) ** v:
         return P, None
     return P, v
+
+
+def pochhammer_exponents(n: int) -> dict:
+    """The exponents e_m of pochhammer_xy(m) for m = 1..n, and whether each
+    is m(m-1)/2."""
+    exponents = [pochhammer_xy(m)[1] for m in range(1, n + 1)]
+    ok = all(e == m * (m - 1) // 2 for m, e in enumerate(exponents, start=1))
+    return {"exponents": exponents, "ok": ok}
 
 
 def stirling_first(n: int):

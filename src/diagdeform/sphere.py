@@ -147,14 +147,6 @@ class SphereElement(SparsePoly):
                     out[key] = out[key] + w if key in out else w
         return self._like({k: c for k, c in out.items() if not c.is_zero()})
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("general sphere elements are not invertible")
-        result = SphereElement.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     # ------------------------------------------------------------ derivations
 
     def derivative(self) -> "SphereElement":

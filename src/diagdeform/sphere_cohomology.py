@@ -73,12 +73,6 @@ class SphereClassRep:
             return NotImplemented
         return self.x_coeff == other.x_coeff and self.pole_one == other.pole_one
 
-    def to_json(self):
-        return {
-            "x": self.x_coeff.to_json(),
-            "pole_one": [[m, self.pole_one[m].to_json()] for m in sorted(self.pole_one)],
-        }
-
     def __str__(self):
         return str(self.embed()) if not self.is_zero() else "0"
 
@@ -138,6 +132,12 @@ def canonical_class(gamma_f: SphereElement, gamma_g: SphereElement, regular=Fals
     combined = gamma_f - gamma_g.scale(lam)
     _, rep = solve_L(combined)
     return rep
+
+
+def canonical_class_fixes(reps) -> bool:
+    """Each representative is its own canonical class, as the cocycle
+    (rep, 0)."""
+    return all(canonical_class(rep.embed(), SphereElement.zero()) == rep for rep in reps)
 
 
 def h2_basis(cutoff: int, regular=False):

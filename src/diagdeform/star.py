@@ -379,6 +379,14 @@ def star_commutator(a: Poly2, b: Poly2, spec: StarSpec, order: int) -> TruncSeri
     return star(a, b, spec, order)[0] - star(b, a, spec, order)[0]
 
 
+_HBAR = TruncSeries(P2, 4, [Poly2.zero(), Poly2.const(1)])
+
+
+def commutator_is_hbar(spec: StarSpec) -> bool:
+    """x * y - y * x = hbar through hbar^4."""
+    return star_commutator(Poly2.x(), Poly2.y(), spec, 4) == _HBAR
+
+
 def star_series(A: TruncSeries, B: TruncSeries, spec: StarSpec, order: int) -> TruncSeries:
     """Extend star bilinearly to truncated series with Poly2 coefficients.
 

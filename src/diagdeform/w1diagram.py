@@ -133,9 +133,6 @@ class GaugeDatum:
     def zero(cls) -> "GaugeDatum":
         return cls(W1.zero, W1.zero, W1.zero)
 
-    def __neg__(self):
-        return GaugeDatum(-self.alpha, -self.beta, -self.chi)
-
     def __add__(self, other):
         # the action on cocycles is linear in the datum, so applying g then h
         # is the same as applying g + h once

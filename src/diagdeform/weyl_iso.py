@@ -53,7 +53,7 @@ from .scalars import (
     series_div_valuation,
     series_expand,
 )
-from .qweyl import PseudoPoly, QWeyl, classical, deformed
+from .qweyl import PseudoPoly, QWeyl, classical, context, deformed
 
 
 class UnsolvableOrder(ArithmeticError):
@@ -296,7 +296,7 @@ def gz_element(order: int) -> dict:
 
     check_order = y_h.order
     sring = SeriesRing(QQ, check_order)
-    Wc = QWeyl(sring, sring.one)
+    Wc = context(sring, sring.one)
     packed = {}
     for r in range(check_order + 1):
         for key, v in y_h.coefficient(r).terms.items():
@@ -346,19 +346,20 @@ def _coefficient_diff(a: PseudoPoly, b: PseudoPoly):
     return sorted(k for k in keys if a.terms.get(k) != b.terms.get(k))
 
 
-def recursion_report(order: int) -> dict:
+def recursion_report(etas) -> dict:
     """Tabulate the shortcut recursion against the solver, order by order.
 
-    For each r the report records whether eta-hat_r and x * eta-hat_r equal
-    the solver's eta_{r+1}, with the disagreeing monomials listed.  Neither
-    form of the shortcut is consistent: the x-multiplied version already
-    fails at r = 0 (where the bare hat lands exactly on eta_1), and the bare
-    hat starts drifting at r = 2.  When order >= 3 the alternate eta_3 table
-    is compared as well.
+    etas is the solver's [eta_1, ..., eta_order], as solve_z(order) returns
+    it; the report is for that order.  For each r it records whether
+    eta-hat_r and x * eta-hat_r equal eta_{r+1}, with the disagreeing
+    monomials listed.  Neither form of the shortcut is consistent: the
+    x-multiplied version already fails at r = 0 (where the bare hat lands
+    exactly on eta_1), and the bare hat starts drifting at r = 2.  When
+    order >= 3 the alternate eta_3 table is compared as well.
     """
+    order = len(etas)
     if order < 2:
         raise ValueError("need at least two orders to compare")
-    etas = solve_z(order)
     W1 = etas[0].algebra
     seq = [W1.y] + etas
     rows = []

@@ -166,6 +166,8 @@ def test_encoder_exact_scalars():
     ["star", "check", "--kind", "moyal", "--order", "-1"],
     ["sphere", "series-check", "--order", "-1"],
     ["weyl", "eta", "--order", "0"],
+    ["weyl", "recursion-report", "--order", "1"],
+    ["weyl", "recursion-report", "--order", "0"],
     ["weyl", "stirling", "--n", "0"],
     ["weyl", "stirling", "--n", "-3"],
     ["weyl", "center", "--n", "0"],
@@ -280,6 +282,19 @@ PINNED_REPORTS = [
      "d8ef36c6f24df8e391f4a6afc0a826e91cbe09b1c79b3ca58fa3fc8afa4d4935"),
     (["w1", "reduce", "--input", "certificate12.json", "--cutoff", "12"],
      "21bb2dd0233850bdf02dcefd7289779c3ac5803f6bdfb0593b2ac427f88f9eb6"),
+    # recorded before the CLI and the acceptance suite shared their checks,
+    # recursion_report took solved etas and each q-Weyl algebra became one
+    # context
+    (["weyl", "recursion-report", "--order", "4"],
+     "74da58db6821278c5aec6488378c2d60337caefa72a53b23aecd328f7b87828c"),
+    (["weyl", "gz", "--order", "9"],
+     "47a03463b4c9b2b7b4744db1b70e80cefd7a1f6e2021de5955d57cd792b22696"),
+    (["weyl", "eta", "--order", "4"],
+     "13250793727bc4bdb5d802ad385cee1c88bdefaaa9b136bfe5964d6486dc2889"),
+    (["sphere", "h2", "--cutoff", "10", "--regular"],
+     "b0558300b8dd1d949f9aa6e4c79af4da94281df4317e7f7ad5d2d35de3994c5a"),
+    (["diagram", "delta2", "--shape", "arrow", "--trials", "7", "--seed", "5"],
+     "39c1b5bddd17d6d10a612ad84e8bef1a6a053b9a3929ca950eb1b83bf51c9c5f"),
 ]
 
 PINNED_INPUTS = {

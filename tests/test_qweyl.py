@@ -210,7 +210,7 @@ def test_deformed_context_reduces_to_classical_at_order_zero():
 
 
 def test_foreign_context_rejected():
-    W1, W2 = symbolic(), symbolic()
+    W1, W2 = symbolic(), deformed(7)
     with pytest.raises(ValueError):
         W1.multiply(W1.x, W2.y)
 
@@ -226,18 +226,27 @@ def test_block_rules_match_the_free_word_oracle(make):
 
 def test_contexts_share_one_rule_table_per_ring_and_q():
     a, b = deformed(6), deformed(6)
-    assert b._shift_cache is a._shift_cache and b._qpow is a._qpow
+    assert b is a
+    assert qweyl.context(QQ, Fraction(2, 3)) is qweyl.context(QQ, Fraction(2, 3))
     for other in (deformed(7), QWeyl(QQ, Fraction(2, 3))):
         assert other._shift_cache is not a._shift_cache
     assert classical()._shift_cache is not QWeyl(QQ, Fraction(2, 3))._shift_cache
-    # sharing the rules does not let elements of two contexts mix
-    for u, v in ((a, b), (a, deformed(7))):
+    # elements of two different algebras do not mix
+    for u, v in ((a, deformed(7)), (classical(), QWeyl(QQ, Fraction(2, 3))),
+                 (classical(), symbolic())):
         assert u != v
         for op in (u.multiply, u.commutator):
             with pytest.raises(ContextMismatch):
                 op(u.x, v.y)
         with pytest.raises(ContextMismatch):
             u.x + v.y
+
+
+def test_one_weyl_algebra():
+    from diagdeform import w1diagram
+
+    assert classical() is classical() is w1diagram.W1
+    assert symbolic() is symbolic()
 
 
 def _fraction_element(W, rng, maxdeg, nterms):

@@ -175,7 +175,7 @@ CASES = (
     + [("weyl/solve_z/12", lambda: solve_z(12))]
     + [(f"weyl/closed_form/{r}", lambda r=r: verify_closed_form(r)) for r in range(8, 13)]
     + [("weyl/gz_element/9", lambda: gz_element(9)),
-       ("weyl/recursion_report/3", lambda: recursion_report(3))]
+       ("weyl/recursion_report/3", lambda: recursion_report(solve_z(3)))]
     + [(f"weyl/oracle/{route}", lambda route=route: _oracle_products(route))
        for route in ("multiply", "normalize")]
     + [("qweyl/stirling_first/7", lambda: stirling_first(7)),

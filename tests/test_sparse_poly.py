@@ -274,7 +274,7 @@ def test_every_coefficient_goes_through_ring_coerce(take, foreign, error):
 def test_another_context_is_a_tag_mismatch_and_a_value_error():
     # like every ring, a QWeyl refuses a value of another ring with
     # TagMismatch; the error is a ValueError too
-    W, V = classical(), classical()
+    W, V = classical(), QWeyl(QQ, F(2, 3))
     for mix in (lambda: W.coerce(V.x), lambda: W.x + V.x, lambda: W.multiply(W.x, V.y),
                 lambda: W.commutator(V.x, W.y)):
         with pytest.raises(TagMismatch):
@@ -284,7 +284,7 @@ def test_another_context_is_a_tag_mismatch_and_a_value_error():
 
 
 def test_elements_of_different_contexts_do_not_mix():
-    a, b = classical(), classical()
+    a, b = classical(), QWeyl(QQ, F(2, 3))
     assert a.x != b.x
     assert a.x == a.x + a.zero
     with pytest.raises(ValueError):
@@ -306,7 +306,8 @@ def test_scalars_coerce_to_constants_in_every_sparse_algebra():
     S, D = symbolic(), deformed(3)
     assert S.coerce(q) == q and S.coerce(q) - q == 0
     assert D.coerce(D.q) == D.q and D.coerce(D.q) - D.q == 0
-    assert classical().x != W.x and classical().one != W.one
+    V = QWeyl(QQ, F(2, 3))
+    assert V.x != W.x and V.one != W.one
     # a coefficient in another variable is refused, not wrapped
     for mix in (lambda: S.coerce(lam), lambda: S.x + lam, lambda: lam + S.x):
         with pytest.raises(TagMismatch):
@@ -326,7 +327,7 @@ def test_a_coefficient_in_another_variable_is_unequal_not_an_error():
     # + still refuses the mix, and another context is still unequal
     with pytest.raises(TagMismatch):
         S.one + lam
-    a, b = classical(), classical()
+    a, b = classical(), QWeyl(QQ, F(2, 3))
     assert a.one != b.one and a.one not in [b.one]
     with pytest.raises(ValueError):
         a.one + b.one

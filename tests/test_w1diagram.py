@@ -6,8 +6,8 @@ import pytest
 from diagdeform import w1diagram
 from diagdeform.cli import _encode
 from diagdeform.linalg import identity, mat_vec, rref, sparse_row
-from diagdeform.qweyl import PseudoPoly, classical
-from diagdeform.scalars import ContextMismatch, _numerators
+from diagdeform.qweyl import PseudoPoly, QWeyl
+from diagdeform.scalars import QQ, ContextMismatch, _numerators
 from diagdeform.w1diagram import (
     W1,
     CutoffTooSmall,
@@ -215,7 +215,7 @@ def test_sparse_transform_product_matches_the_dense_fraction_product():
 
 
 def test_apply_gauge_refuses_another_context():
-    other = classical()
+    other = QWeyl(QQ, F(2, 3))
     with pytest.raises(ContextMismatch):
         apply_gauge(W1Cocycle(other.x, W1.zero), GaugeDatum.zero())
     with pytest.raises(ContextMismatch):
@@ -556,3 +556,14 @@ def test_reduce_report_bytes_are_pinned(k, cutoff):
     pinned = PINNED_REDUCTIONS[k]
     rep = _encode(reduce(random_cocycle(random.Random(k)), cutoff))
     assert rep == {**pinned, "cutoff": cutoff, "certificate": pinned["certificate"][cutoff]}
+
+
+def test_reduce_takes_the_solvers_first_correction():
+    # solve_z works in classical(), the one W_1, so its eta_1 is a cocycle here
+    from diagdeform.weyl_iso import solve_z
+
+    eta1 = solve_z(1)[0]
+    assert eta1.algebra is W1
+    rep = reduce(W1Cocycle(W1.zero, -eta1), 8)
+    assert rep["consistent"] and not rep["is_zero"]
+    assert rep["representative"].terms == {(1, 2): F(-1, 2)}

@@ -157,7 +157,7 @@ def test_hat_substitution_on_y():
 
 
 def test_recursion_report_documents_discrepancies():
-    rep = recursion_report(4)
+    rep = recursion_report(solve_z(4))
     assert rep["discrepancies_found"]
     # bare hat matches for one step, then drifts
     by_r = {row["r"]: row for row in rep["rows"]}
@@ -170,7 +170,7 @@ def test_recursion_report_documents_discrepancies():
 
 
 def test_alternate_eta3_rejected_by_solver():
-    rep = recursion_report(3)
+    rep = recursion_report(solve_z(3))
     assert not rep["alternate_eta3_matches_solver"]
     assert rep["alternate_eta3_disagreements"] == [(1, 2), (2, 3)]
     # and the disagreeing slots are exactly where the frozen table differs
@@ -185,6 +185,6 @@ def test_order_validation():
     with pytest.raises(ValueError):
         gz_element(0)
     with pytest.raises(ValueError):
-        recursion_report(1)
+        recursion_report(solve_z(1))
     with pytest.raises(ValueError):
         pole_factorization(0)
