@@ -31,23 +31,29 @@ and the hbar^l coefficient of A * B, for series A and B, is
 
     sum_{m + n + |alpha| = l} (1/alpha!) phi^alpha(A_m) psi^alpha(B_n).
 
-star, star_series and associativity_check share one kernel that computes
-this on integer levels: a level is a dict of integer numerators by monomial
-over one denominator.  The kernel puts each side's levels over one common
-denominator, builds the derivative jets phi^alpha A_m and psi^alpha B_n
-one derivation at a time from the jets of the parent multi-index, drops a
-branch once one of its sides is zero, and multiplies the jets into one
-integer accumulator per output level l, over DA * DB * L^l * l!, where L
-is the spec's common denominator; the integer weights of the (alpha, l)
-terms are cached on the spec.  star and star_series build a Fraction once
-per output monomial; associativity_check chains the kernel and compares
-its two sides by cross-multiplication, building no Fraction at all.  The
-arithmetic is exact and Fraction(n, d) is canonical, so the coefficients
-are the same values, and print the same bytes, as the operator expansion.
+star, star_series and the checks share one kernel that computes this on
+integer levels: a level is a dict of integer numerators over one
+denominator, keyed by the packed monomial key i << 15 | j of x^i y^j, so
+that a product of monomials adds two small ints.  The kernel puts each
+side's levels over one common denominator, builds the derivative jets
+phi^alpha A_m and psi^alpha B_n one derivation at a time from the jets of
+the parent multi-index, drops a branch once one of its sides is zero, and
+multiplies the jets into one integer accumulator per output level l, over
+DA * DB * L^l * l!, where L is the spec's common denominator; the integer
+weights of the (alpha, l) terms are cached on the spec.  The public
+entries refuse, with ValueError, inputs and orders that could build an
+exponent of 2^15, which a key cannot hold.  star and star_series build a
+Fraction once per output monomial.  The arithmetic is exact and
+Fraction(n, d) is canonical, so the coefficients are the same values, and
+print the same bytes, as the operator expansion.
 
-Degrees here are graded with deg x = +1, deg y = -1; all three built-in
-specs preserve that grading, which grading_check exercises on random
-homogeneous inputs.
+associativity_check draws integer levels, chains the kernel and compares
+its two sides by cross-multiplication, building no Fraction at all; the
+outer kernels of (a*b)*c and a*(b*c) read the jets of c and of a that the
+inner kernels b*c and a*b built.  Degrees here are graded with deg x = +1,
+deg y = -1; all three built-in specs preserve that grading, which
+grading_check exercises on random homogeneous inputs, reading the degree
+i - j off the kernel's packed keys.
 """
 
 from __future__ import annotations
@@ -125,10 +131,17 @@ class Poly2(SparsePoly):
 P2 = SparsePolyRing(Poly2.zero(), "QQ[x,y]")
 
 
+# x^i y^j is the packed key i << SHIFT | j in the integer layer: one small int
+# that adds like the exponent pair, as long as no exponent reaches 2^SHIFT
+SHIFT = 15
+MASK = (1 << SHIFT) - 1
+
+
 def _levels(polys) -> list:
-    """Each poly as an integer level: (numerators by monomial, denominator)."""
+    """Each poly as an integer level: (numerators by packed key, denominator)."""
     forms = [_numerators(p.terms.values()) for p in polys]
-    return [(dict(zip(p.terms, nums)), den) for p, (nums, den) in zip(polys, forms)]
+    return [({i << SHIFT | j: n for (i, j), n in zip(p.terms, nums)}, den)
+            for p, (nums, den) in zip(polys, forms)]
 
 
 def _common(levels):
@@ -141,7 +154,8 @@ def _common(levels):
 
 def _polys(levels) -> list:
     """Integer levels as Poly2s, one Fraction per monomial."""
-    return [P2.zero._like(_fractions(nums, d)) for nums, d in levels]
+    return [P2.zero._like(_fractions({(k >> SHIFT, k & MASK): n for k, n in nums.items()}, d))
+            for nums, d in levels]
 
 
 def _check_commuting(derivations):
@@ -166,13 +180,13 @@ class Derivation:
     def _integer_action(self):
         """The action on x^i y^j as integer terms over one denominator.
 
-        Returns ((xs, ys), den): a term (di, dj, n) of xs contributes
-        n * i x^(i+di) y^(j+dj), one of ys n * j x^(i+di) y^(j+dj); the
-        derivation is the sum of its terms over den.
+        Returns ((xs, ys), den): a term (step, n) of xs sends the packed
+        key of x^i y^j to n * i times key + step, one of ys to n * j times
+        it; the derivation is the sum of its terms over den.
         """
         (px, py), den = _common(_levels([self.px, self.py]))
-        return ([(a - 1, b, n) for (a, b), n in px.items()],
-                [(a, b - 1, n) for (a, b), n in py.items()]), den
+        return ([(k - (1 << SHIFT), n) for k, n in px.items()],
+                [(k - 1, n) for k, n in py.items()]), den
 
     def commutes_with(self, other: "Derivation") -> bool:
         """Whether [self, other] = 0, checked on the generators.
@@ -198,7 +212,7 @@ class StarSpec:
     and psi.
     """
 
-    __slots__ = ("kind", "pairs", "_actions", "_scales", "_den", "_weights")
+    __slots__ = ("kind", "pairs", "_actions", "_scales", "_den", "_weights", "_rise")
 
     def __init__(self, kind: str, pairs):
         self.kind = kind
@@ -211,6 +225,10 @@ class StarSpec:
         self._actions = [(t1, t2) for (t1, _), (t2, _) in actions]
         self._scales = [self._den // (d1 * d2) for (_, d1), (_, d2) in actions]
         self._weights = {}
+        # R, the most one step raises an exponent: x^a y^b dx by a - 1 or b
+        ds = [d for pair in self.pairs for d in pair]
+        self._rise = max([0] + [max(a - 1, b) for d in ds for a, b in d.px.terms]
+                         + [max(a, b - 1) for d in ds for a, b in d.py.terms])
 
     def _weight(self, alpha: tuple, level: int) -> int:
         """The weight of phi^alpha A_m psi^alpha B_n in output level
@@ -262,21 +280,24 @@ def _derive(action, nums: dict) -> dict:
     with zeros dropped."""
     xs, ys = action
     out = {}
-    for (i, j), n in nums.items():
+    for key, n in nums.items():
+        i = key >> SHIFT
         if i:
             n_i = n * i
-            for di, dj, w in xs:
-                k = (i + di, j + dj)
+            for step, w in xs:
+                k = key + step
                 out[k] = out.get(k, 0) + n_i * w
+        j = key & MASK
         if j:
             n_j = n * j
-            for di, dj, w in ys:
-                k = (i + di, j + dj)
+            for step, w in ys:
+                k = key + step
                 out[k] = out.get(k, 0) + n_j * w
     return {k: v for k, v in out.items() if v}
 
 
-def _star_kernel(A: list, B: list, spec: StarSpec, order: int, flag: bool = False):
+def _star_kernel(A: list, B: list, spec: StarSpec, order: int, flag: bool = False,
+                 jets_a=None, jets_b=None):
     """sum_{m+n+|alpha| = l} (1/alpha!) phi^alpha(A_m) psi^alpha(B_n) for
     l = 0..order, on lists A and B of integer levels (numerators by
     monomial, denominator).
@@ -285,9 +306,14 @@ def _star_kernel(A: list, B: list, spec: StarSpec, order: int, flag: bool = Fals
     (DA and DB the common denominators of A and B, L = spec._den), and,
     when flag is set, whether D^(order+1)(A_0 (x) B_0) = 0; None otherwise.
     The flag needs the jets of level order + 1 and so reads only A_0, B_0.
+
+    jets_a and jets_b memoize [phi^alpha A_0] and [psi^alpha B_0] by alpha
+    for a single-level side, so that a later call on that level reads them.
     """
     As, da = _common(A[:order + 1])
     Bs, db = _common(B[:order + 1])
+    jets_a = {} if jets_a is None else jets_a
+    jets_b = {} if jets_b is None else jets_b
     accs = [{} for _ in range(order + 1)]
     # (alpha, first, phi^alpha A_m by m, psi^alpha B_n by n) for |alpha| = k;
     # a child adds one to alpha at an index i >= first, so each multi-index
@@ -307,10 +333,10 @@ def _star_kernel(A: list, B: list, spec: StarSpec, order: int, flag: bool = Fals
                     level = k + m + n
                     w = spec._weight(alpha, level)
                     acc = accs[level]
-                    for (i1, j1), p in u.items():
+                    for k1, p in u.items():
                         p *= w
-                        for (i2, j2), q in v.items():
-                            key = (i1 + i2, j1 + j2)
+                        for k2, q in v.items():
+                            key = k1 + k2
                             acc[key] = acc.get(key, 0) + p * q
             # children feed levels up to order - k - 1, or level 0 for the flag
             keep = order - k if k < order else int(flag)
@@ -318,12 +344,17 @@ def _star_kernel(A: list, B: list, spec: StarSpec, order: int, flag: bool = Fals
                 continue
             for i in range(first, len(spec._actions)):
                 phi, psi = spec._actions[i]
-                cu = [_derive(phi, u) for u in us[:keep]]
+                child = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                cu = jets_a.get(child)
+                if cu is None:
+                    cu = jets_a[child] = [_derive(phi, u) for u in us[:keep]]
                 if not any(cu):
                     continue
-                cv = [_derive(psi, v) for v in vs[:keep]]
+                cv = jets_b.get(child)
+                if cv is None:
+                    cv = jets_b[child] = [_derive(psi, v) for v in vs[:keep]]
                 if any(cv):
-                    children.append((alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], i, cu, cv))
+                    children.append((child, i, cu, cv))
         jets = children
         if not jets:
             break
@@ -342,10 +373,10 @@ def _star_kernel(A: list, B: list, spec: StarSpec, order: int, flag: bool = Fals
     tensor = {}
     for alpha, _, us, vs in jets:
         w = spec._weight(alpha, order + 1)
-        for (i1, j1), p in us[0].items():
+        for k1, p in us[0].items():
             p *= w
-            for (i2, j2), q in vs[0].items():
-                key = (i1, j1, i2, j2)
+            for k2, q in vs[0].items():
+                key = (k1, k2)
                 tensor[key] = tensor.get(key, 0) + p * q
     return levels, not any(tensor.values())
 
@@ -361,6 +392,30 @@ def _same_levels(left: list, right: list) -> bool:
     return True
 
 
+def _top(*sides) -> int:
+    """The largest exponent a product of one term of each side (a list of
+    Poly2s) can have, before any derivation."""
+    return max(sum(max((key[v] for p in side for key in p.terms), default=0) for side in sides)
+               for v in (0, 1))
+
+
+def _check_width(spec: StarSpec, order: int, top: int, chained: int = 1) -> None:
+    """Raise ValueError unless every exponent stays below 2^SHIFT, so that
+    the packed keys are exact: `chained` kernel calls of this order raise
+    the `top` of their inputs by at most 2 (order + 1) R each."""
+    if top + 2 * chained * (order + 1) * spec._rise >= 1 << SHIFT:
+        raise ValueError(f"star product exponents could reach 2^{SHIFT}")
+
+
+def _star(a: Poly2, b: Poly2, spec: StarSpec, order: int, flag: bool):
+    """star, with the exact flag None unless flag is set."""
+    if order < 0:
+        raise ValueError("negative truncation order")
+    _check_width(spec, order, _top([a], [b]))
+    levels, exact = _star_kernel(_levels([a]), _levels([b]), spec, order, flag)
+    return TruncSeries._make(P2, order, _polys(levels)), exact
+
+
 def star(a: Poly2, b: Poly2, spec: StarSpec, order: int):
     """The truncated star product, as (series over Poly2, exact flag).
 
@@ -369,14 +424,11 @@ def star(a: Poly2, b: Poly2, spec: StarSpec, order: int):
     coefficient is known to vanish; False means the truncation is a
     genuine truncation.
     """
-    if order < 0:
-        raise ValueError("negative truncation order")
-    levels, exact = _star_kernel(_levels([a]), _levels([b]), spec, order, flag=True)
-    return TruncSeries._make(P2, order, _polys(levels)), exact
+    return _star(a, b, spec, order, True)
 
 
 def star_commutator(a: Poly2, b: Poly2, spec: StarSpec, order: int) -> TruncSeries:
-    return star(a, b, spec, order)[0] - star(b, a, spec, order)[0]
+    return _star(a, b, spec, order, False)[0] - _star(b, a, spec, order, False)[0]
 
 
 _HBAR = TruncSeries(P2, 4, [Poly2.zero(), Poly2.const(1)])
@@ -394,8 +446,9 @@ def star_series(A: TruncSeries, B: TruncSeries, spec: StarSpec, order: int) -> T
     every binary operation on truncated series.
     """
     order = min(A.order, B.order, order)
-    levels, _ = _star_kernel(_levels(A.coeffs[:order + 1]), _levels(B.coeffs[:order + 1]),
-                             spec, order)
+    A, B = A.coeffs[:order + 1], B.coeffs[:order + 1]
+    _check_width(spec, order, _top(A, B))
+    levels, _ = _star_kernel(_levels(A), _levels(B), spec, order)
     return TruncSeries._make(P2, order, _polys(levels))
 
 
@@ -406,28 +459,33 @@ def embed(a: Poly2, order: int) -> TruncSeries:
 # ------------------------------------------------------------------ checks
 
 
-def _random_poly(rng: random.Random, maxdeg: int = 3) -> Poly2:
-    terms = {}
+def _random_level(rng: random.Random, maxdeg: int = 3) -> tuple:
+    """A random integer level over 1 of degree at most maxdeg."""
+    nums = {}
     for i in range(maxdeg + 1):
         for j in range(maxdeg + 1 - i):
             if rng.random() < 0.5:
                 c = rng.randint(-3, 3)
                 if c:
-                    terms[(i, j)] = Fraction(c)
-    return Poly2(terms)
+                    nums[i << SHIFT | j] = c
+    return nums, 1
 
 
-def _random_homogeneous(rng: random.Random, degree: int) -> Poly2:
-    slots = [(i, j) for i in range(5) for j in range(5) if i - j == degree]
-    terms = {}
+def _random_poly(rng: random.Random, maxdeg: int = 3) -> Poly2:
+    return _polys([_random_level(rng, maxdeg)])[0]
+
+
+def _random_homogeneous(rng: random.Random, degree: int) -> tuple:
+    slots = [i << SHIFT | j for i in range(5) for j in range(5) if i - j == degree]
+    nums = {}
     for key in slots:
         if rng.random() < 0.6:
             c = rng.randint(-3, 3)
             if c:
-                terms[key] = Fraction(c)
-    if not terms:
-        terms[slots[0]] = Fraction(1)
-    return Poly2(terms)
+                nums[key] = c
+    if not nums:
+        nums[slots[0]] = 1
+    return nums, 1
 
 
 def _trial_rng(seed: int, index: int) -> random.Random:
@@ -439,21 +497,26 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 def associativity_check(spec: StarSpec, order: int, trials: int, seed: int) -> dict:
     """Whether (a*b)*c = a*(b*c) modulo hbar^(order+1) on random triples.
 
-    Each side chains the integer kernel twice and is compared with the
-    other level by level, exactly: the same monomials, and equal values by
-    cross-multiplying numerators and denominators.  Past the random inputs
-    no Fraction is built.
+    The inputs are drawn as integer levels.  Each side chains the integer
+    kernel twice and is compared with the other level by level, exactly:
+    the same monomials, and equal values by cross-multiplying numerators
+    and denominators.  No Fraction is built.  a*(b*c) reads the jets of a
+    that a*b built, and (a*b)*c those of c that b*c built.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if order < 0:
         raise ValueError("negative truncation order")
+    _check_width(spec, order, 3 * 3, chained=2)  # three draws of degree <= 3
     failures = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        a, b, c = (_levels([_random_poly(rng)]) for _ in range(3))
-        left, _ = _star_kernel(_star_kernel(a, b, spec, order)[0], c, spec, order)
-        right, _ = _star_kernel(a, _star_kernel(b, c, spec, order)[0], spec, order)
+        a, b, c = ([_random_level(rng)] for _ in range(3))
+        jets_a, jets_c = {}, {}
+        ab, _ = _star_kernel(a, b, spec, order, jets_a=jets_a)
+        bc, _ = _star_kernel(b, c, spec, order, jets_b=jets_c)
+        left, _ = _star_kernel(ab, c, spec, order, jets_b=jets_c)
+        right, _ = _star_kernel(a, bc, spec, order, jets_a=jets_a)
         if not _same_levels(left, right):
             failures.append(t)
     return {
@@ -467,9 +530,13 @@ def associativity_check(spec: StarSpec, order: int, trials: int, seed: int) -> d
 
 
 def grading_check(spec: StarSpec, trials: int, seed: int, order: int = 4) -> dict:
-    """Star products of homogeneous inputs stay homogeneous, order by order."""
+    """Star products of homogeneous inputs stay homogeneous, order by order:
+    every packed key of x^i y^j in the output levels has i - j = d1 + d2."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if order < 0:
+        raise ValueError("negative truncation order")
+    _check_width(spec, order, 4 + 4)  # two draws with exponents <= 4
     failures = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
@@ -477,13 +544,9 @@ def grading_check(spec: StarSpec, trials: int, seed: int, order: int = 4) -> dic
         d2 = rng.randint(-2, 2)
         a = _random_homogeneous(rng, d1)
         b = _random_homogeneous(rng, d2)
-        series, _ = star(a, b, spec, order)
-        for coeff in series.coeffs:
-            if coeff.is_zero():
-                continue
-            if not coeff.is_homogeneous() or coeff.degrees() != {d1 + d2}:
-                failures.append(t)
-                break
+        levels, _ = _star_kernel([a], [b], spec, order)
+        if any((k >> SHIFT) - (k & MASK) != d1 + d2 for nums, _ in levels for k in nums):
+            failures.append(t)
     return {
         "kind": spec.kind,
         "trials": trials,
@@ -497,8 +560,8 @@ def qplane_relation_check(order: int) -> dict:
     """star(x,y) = e^hbar * star(y,x) for the quantum-plane product."""
     spec = StarSpec.qplane()
     x, y = Poly2.x(), Poly2.y()
-    xy, _ = star(x, y, spec, order)
-    yx, _ = star(y, x, spec, order)
+    xy, _ = _star(x, y, spec, order, False)
+    yx, _ = _star(y, x, spec, order, False)
     e = exp_hbar(order).map_coeffs(P2.from_rational, ring=P2)
     residual = xy - e * yx
     return {"order": order, "ok": residual.is_zero(), "residual": residual}

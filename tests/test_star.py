@@ -14,6 +14,8 @@ from diagdeform.star import (
     StarSpec,
     _levels,
     _polys,
+    _random_homogeneous,
+    _random_level,
     _random_poly,
     _same_levels,
     _star_kernel,
@@ -310,9 +312,119 @@ def test_integer_verdict_matches_the_fraction_comparison(make):
         assert associativity_check(spec, order, trials, seed)["failures"] == want
 
 
+def _fraction_draw(rng, maxdeg=3):
+    # reference draw as a Poly2 of Fractions: the integer draws must make
+    # the same rng calls and values, or every failure list would shift
+    terms = {}
+    for i in range(maxdeg + 1):
+        for j in range(maxdeg + 1 - i):
+            if rng.random() < 0.5:
+                c = rng.randint(-3, 3)
+                if c:
+                    terms[(i, j)] = Fraction(c)
+    return Poly2(terms)
+
+
+def _fraction_homogeneous(rng, degree):
+    slots = [(i, j) for i in range(5) for j in range(5) if i - j == degree]
+    terms = {}
+    for key in slots:
+        if rng.random() < 0.6:
+            c = rng.randint(-3, 3)
+            if c:
+                terms[key] = Fraction(c)
+    if not terms:
+        terms[slots[0]] = Fraction(1)
+    return Poly2(terms)
+
+
+def test_integer_draws_keep_the_fraction_draw_stream():
+    for seed in range(200):
+        old, new, poly = random.Random(seed), random.Random(seed), random.Random(seed)
+        want = [_fraction_draw(old) for _ in range(3)]
+        assert [_random_level(new) for _ in range(3)] == _levels(want)
+        assert [_random_poly(poly).terms for _ in range(3)] == [p.terms for p in want]
+        degree = seed % 5 - 2
+        want = _fraction_homogeneous(old, degree)
+        assert _random_homogeneous(new, degree) == _levels([want])[0]
+        assert old.getstate() == new.getstate()
+
+
+def test_checks_build_no_fraction(monkeypatch):
+    from diagdeform import star as star_module
+
+    specs = [StarSpec.normal(), StarSpec.moyal(), StarSpec.qplane(), _digest_spec()]
+
+    def refuse(*args):
+        raise AssertionError("a check built a Fraction")
+
+    monkeypatch.setattr(star_module, "Fraction", refuse)
+    monkeypatch.setattr(star_module, "_fractions", refuse)
+    for spec in specs:
+        assert associativity_check(spec, 4, 10, 5)["ok"]
+        assert grading_check(spec, 10, 6)["ok"]
+
+
+def _fraction_grading_failures(spec, trials, seed, order=4):
+    # the grading verdict on Fraction series: star() and Poly2.degrees()
+    failures = []
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        d1 = rng.randint(-2, 2)
+        d2 = rng.randint(-2, 2)
+        a, b = _polys([_random_homogeneous(rng, d1), _random_homogeneous(rng, d2)])
+        series, _ = star(a, b, spec, order)
+        for coeff in series.coeffs:
+            if coeff.is_zero():
+                continue
+            if not coeff.is_homogeneous() or coeff.degrees() != {d1 + d2}:
+                failures.append(t)
+                break
+    return failures
+
+
+def _dx_dx_spec():
+    # dx (x) dx lowers the degree of both sides, so it breaks the grading
+    return StarSpec.custom([(Derivation(1, 0), Derivation(1, 0))])
+
+
+@pytest.mark.parametrize("make", [StarSpec.normal, StarSpec.moyal, StarSpec.qplane,
+                                  _digest_spec, _dx_dx_spec])
+def test_integer_grading_verdict_matches_the_fraction_path(make):
+    spec = make()
+    for seed in (4, 29, 1729):
+        want = _fraction_grading_failures(spec, 12, seed)
+        assert grading_check(spec, 12, seed)["failures"] == want
+        assert bool(want) == (make is _dx_dx_spec)
+
+
+def test_width_guard_refuses_exponents_past_the_packed_keys():
+    # x^2 dx raises the x exponent by one per step: R = 1
+    spec = StarSpec.custom([(Derivation(X * X, 0), Derivation(0, 1))])
+    with pytest.raises(ValueError, match="exponents"):
+        star(X, Y, spec, 20_000)
+    with pytest.raises(ValueError, match="exponents"):
+        star_commutator(X, Y, spec, 20_000)
+    with pytest.raises(ValueError, match="exponents"):
+        star_series(embed(X, 20_000), embed(Y, 20_000), spec, 20_000)
+    with pytest.raises(ValueError, match="exponents"):
+        associativity_check(spec, 20_000, 1, 0)
+    with pytest.raises(ValueError, match="exponents"):
+        grading_check(spec, 1, 0, order=20_000)
+    # one exponent past the bound 2^15 - 1 - 2 (order + 1) R, at order 2
+    with pytest.raises(ValueError, match="exponents"):
+        star(Poly2.monomial(2**15 - 6, 0), Y, spec, 2)
+    # an R = 0 spec only needs the inputs' exponents to add up below 2^15
+    with pytest.raises(ValueError, match="exponents"):
+        star(Poly2.monomial(0, 2**15 - 1), Y, StarSpec.normal(), 3)
+    assert star(Poly2.monomial(2**15 - 1, 0), Y, StarSpec.normal(), 3)[1]
+
+
 # Derivation actions (_derive calls) over one criterion_star_products(1729):
-# one per jet of each input level, one derivation step from its parent.
-STAR_PRODUCTS_DERIVE_CALLS = 11797
+# one per jet of each input level, one derivation step from its parent; the
+# jets of a and c that associativity_check's inner kernels built are read
+# again, not derived, by its outer ones.
+STAR_PRODUCTS_DERIVE_CALLS = 10283
 
 
 def test_star_products_criterion_work_is_pinned(monkeypatch):

@@ -131,3 +131,19 @@ def test_star_series_matches_sympy_expansion(kind):
                 want[m + n + k] = want[m + n + k] + oracle_coefficient(
                     to_sympy(u), to_sympy(v), PAIRS[kind], k)
     assert got == TruncSeries(P2, order, want)
+
+
+def test_inputs_just_inside_the_width_guard_match_sympy_expansion():
+    # x^2 dx (x) dy raises the x exponent by R = 1 per step; at order 2 the
+    # guard admits exponents up to 2^15 - 1 - 2 (order + 1) R
+    raising = StarSpec.custom([(Derivation(Poly2.monomial(2, 0), 0), Derivation(0, 1))])
+    cases = [
+        (raising, [(lambda f: x**2 * f.diff(x), lambda f: f.diff(y))], 2**15 - 7, 2),
+        (StarSpec.normal(), PAIRS["normal"], 2**15 - 1, 3),
+    ]
+    for spec, pairs, i, order in cases:
+        a, b = Poly2.monomial(i, 0, 3), Poly2.monomial(0, 2, Fraction(-1, 2))
+        series, _ = star(a, b, spec, order)
+        for k in range(order + 1):
+            assert series.coeffs[k] == oracle_coefficient(to_sympy(a), to_sympy(b), pairs, k)
+        assert not series.coeffs[1].is_zero()
