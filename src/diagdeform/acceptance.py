@@ -314,16 +314,11 @@ def sample_triangle_verdicts():
 
 def criterion_diagram(seed=DEFAULT_SEED):
     """Boundary and coboundary squares vanish; ranks and models match."""
-    boundary_sq = all(
-        nerve(cat, 4).boundary_squares_vanish()
-        for cat in (SmallCategory.arrow(), SmallCategory.parallel_pair(),
-                    SmallCategory.cospan(), SmallCategory.chain(2))
-    )
-    ranks_ok = (
-        simplicial_cohomology(SmallCategory.arrow(), 1) == [1, 0]
-        and simplicial_cohomology(SmallCategory.parallel_pair(), 1) == [1, 1]
-        and simplicial_cohomology(SmallCategory.cospan(), 1) == [1, 0]
-    )
+    ranks = {SmallCategory.arrow(): [1, 0], SmallCategory.parallel_pair(): [1, 1],
+             SmallCategory.cospan(): [1, 0]}
+    boundary_sq = all(nerve(cat, 4).boundary_squares_vanish()
+                      for cat in (*ranks, SmallCategory.chain(2)))
+    ranks_ok = all(simplicial_cohomology(cat, 1) == r for cat, r in ranks.items())
     delta_sq = coboundary_squares_vanish(
         (sample_arrow_diagram(), sample_cospan_diagram()), 25, _rng(seed, 200))
     tri_pass, tri_fail = sample_triangle_verdicts()
@@ -340,30 +335,13 @@ def criterion_diagram(seed=DEFAULT_SEED):
 
 def criterion_w1_reduction(seed=DEFAULT_SEED):
     """Cocycle reduction over the three-algebra diagram around W_1."""
-    y_family = all(
-        w1_reduce(W1Cocycle(W1.zero, W1.monomial(0, j)), 8)["is_zero"]
-        for j in range(9)
-    )
-    xy_family = all(
-        w1_reduce(W1Cocycle(W1.zero, W1.monomial(r, 1)), 8)["is_zero"]
-        for r in range(1, 8)
-    )
-    xy2 = w1_reduce(W1Cocycle(W1.zero, W1.monomial(1, 2)), 8)
-    consistent = True
-    for i in range(9):
-        for j in range(9 - i):
-            if i == 0 and j == 0:
-                continue
-            if not w1_reduce(W1Cocycle(W1.zero, W1.monomial(i, j)), 8)["consistent"]:
-                consistent = False
+    monomials = {(i, j): w1_reduce(W1Cocycle(W1.zero, W1.monomial(i, j)), 8)
+                 for i in range(9) for j in range(9 - i)}
+    consistent = all(v["consistent"] for m, v in monomials.items() if m != (0, 0))
     rng = _rng(seed, 300)
     for _ in range(30):
         if not w1_reduce(random_cocycle(rng), 8)["consistent"]:
             consistent = False
-    x_verdicts = [w1_reduce(W1Cocycle(W1.zero, W1.monomial(i, 0)), 8) for i in range(1, 7)]
-    x_family_recorded = all(
-        v["is_zero"] and v["x_family_conflict"] for v in x_verdicts
-    )
     rng2 = _rng(seed, 301)
     sound = True
     for _ in range(30):
@@ -374,11 +352,13 @@ def criterion_w1_reduction(seed=DEFAULT_SEED):
         if before.terms != after.terms:
             sound = False
     checks = {
-        "pure_y_powers_are_trivial": y_family,
-        "x_r_y_monomials_are_trivial": xy_family,
-        "x_y2_survives": xy2["representative"].terms == {(1, 2): F(1)},
+        "pure_y_powers_are_trivial": all(monomials[0, j]["is_zero"] for j in range(9)),
+        "x_r_y_monomials_are_trivial": all(monomials[r, 1]["is_zero"] for r in range(1, 8)),
+        "x_y2_survives": monomials[1, 2]["representative"].terms == {(1, 2): F(1)},
         "oracle_reduce_consistent_monomials_and_30_random": consistent,
-        "x_power_family_trivial_with_conflict_flag": x_family_recorded,
+        "x_power_family_trivial_with_conflict_flag": all(
+            monomials[i, 0]["is_zero"] and monomials[i, 0]["x_family_conflict"]
+            for i in range(1, 7)),
         "gauge_soundness_30_trials": sound,
     }
     return _wrap("w1-reduction", checks, {

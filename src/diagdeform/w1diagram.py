@@ -474,27 +474,7 @@ def basis_report(cutoff: int) -> dict:
     }
 
 
-# ------------------------------------------------------------ sanity checks
-
-
-def centralizer_check(maxdeg: int, trials: int = 10, seed: int = 17) -> bool:
-    """[chi, x] = 0 exactly for chi in k[x]: exhaustive on monomials plus
-    random combinations, up to the given degree."""
-    for i in range(maxdeg + 1):
-        for j in range(maxdeg + 1 - i):
-            bracket = W1.commutator(W1.monomial(i, j), W1.x)
-            if (j == 0) != bracket.is_zero():
-                return False
-    rng = random.Random(seed)
-    for _ in range(trials):
-        pure = PseudoPoly(W1, {(rng.randint(0, maxdeg), 0): rng.randint(1, 5)
-                               for _ in range(3)})
-        if not W1.commutator(pure, W1.x).is_zero():
-            return False
-        mixed = pure + W1.monomial(rng.randint(0, maxdeg - 1), rng.randint(1, maxdeg))
-        if W1.commutator(mixed, W1.x).is_zero():
-            return False
-    return True
+# ------------------------------------------------------------ random inputs
 
 
 def random_cocycle(rng: random.Random, maxdeg: int = 5) -> W1Cocycle:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from diagdeform.w1diagram import (
     W1Cocycle,
     apply_gauge,
     basis_report,
-    centralizer_check,
     kill_gamma_f,
     membership_oracle,
     random_cocycle,
@@ -271,10 +271,15 @@ def test_membership_certificate_is_a_copy():
     assert list(membership_oracle(W1.monomial(1, 2), 6)[1].items()) == before
 
 
+class _Swept(W1Cocycle):
+    """A cocycle that criterion_w1_reduction builds itself, not a random one."""
+
+
 def test_gauge_span_is_eliminated_once_per_cutoff(monkeypatch):
     from diagdeform import acceptance
 
     calls = {"rref": 0, "reduce": 0}
+    swept = Counter()
     real_rref, real_reduce = w1diagram.rref, acceptance.w1_reduce
 
     def counted_rref(rows, ncols):
@@ -283,13 +288,51 @@ def test_gauge_span_is_eliminated_once_per_cutoff(monkeypatch):
 
     def counted_reduce(coc, cutoff):
         calls["reduce"] += 1
+        if type(coc) is _Swept:
+            swept[tuple(coc.gamma_f.terms.items()), tuple(coc.gamma_g.terms.items())] += 1
         return real_reduce(coc, cutoff)
 
     monkeypatch.setattr(w1diagram, "_FACTORS", {})
     monkeypatch.setattr(w1diagram, "rref", counted_rref)
     monkeypatch.setattr(acceptance, "w1_reduce", counted_reduce)
+    monkeypatch.setattr(acceptance, "W1Cocycle", _Swept)
     assert acceptance.criterion_w1_reduction(1729)["ok"]
-    assert calls == {"rref": 1, "reduce": 157}
+    # 45 monomials x^i y^j with i + j <= 8, 30 random cocycles, 30 gauge pairs
+    assert calls == {"rref": 1, "reduce": 135}
+    assert swept == Counter({((), (((i, j), 1),)): 1 for i in range(9) for j in range(9 - i)})
+
+
+@pytest.mark.parametrize("monomial,field,check", [
+    ((0, 0), "is_zero", "pure_y_powers_are_trivial"),
+    ((0, 8), "is_zero", "pure_y_powers_are_trivial"),
+    ((1, 1), "is_zero", "x_r_y_monomials_are_trivial"),
+    ((7, 1), "is_zero", "x_r_y_monomials_are_trivial"),
+    ((1, 2), "representative", "x_y2_survives"),
+    ((1, 0), "x_family_conflict", "x_power_family_trivial_with_conflict_flag"),
+    ((6, 0), "x_family_conflict", "x_power_family_trivial_with_conflict_flag"),
+    ((8, 0), "consistent", "oracle_reduce_consistent_monomials_and_30_random"),
+    ((0, 8), "consistent", "oracle_reduce_consistent_monomials_and_30_random"),
+    ((4, 4), "consistent", "oracle_reduce_consistent_monomials_and_30_random"),
+])
+def test_each_family_check_reads_every_member(monkeypatch, monomial, field, check):
+    # One field of one monomial's report goes wrong; the check of its family must see it.
+    from diagdeform import acceptance
+
+    real_reduce = acceptance.w1_reduce
+    target = W1Cocycle(W1.zero, W1.monomial(*monomial))
+
+    def flipped_reduce(coc, cutoff):
+        report = real_reduce(coc, cutoff)
+        if type(coc) is _Swept and coc == target:
+            report = dict(report)
+            report[field] = W1.zero if field == "representative" else not report[field]
+        return report
+
+    monkeypatch.setattr(acceptance, "w1_reduce", flipped_reduce)
+    monkeypatch.setattr(acceptance, "W1Cocycle", _Swept)
+    checks = acceptance.criterion_w1_reduction(1729)["checks"]
+    assert checks[check] is False
+    assert all(ok for label, ok in checks.items() if label != check)
 
 
 def test_every_gauge_generator_image_is_one_monomial():
@@ -467,7 +510,19 @@ def test_witness_validity_on_span_elements():
 
 
 def test_centralizer_facts():
-    assert centralizer_check(6)
+    """[chi, x] = 0 exactly for chi in k[x]: exhaustive on monomials plus
+    random combinations, up to degree 6."""
+    maxdeg = 6
+    for i in range(maxdeg + 1):
+        for j in range(maxdeg + 1 - i):
+            assert (j == 0) == W1.commutator(W1.monomial(i, j), W1.x).is_zero()
+    rng = random.Random(17)
+    for _ in range(10):
+        pure = PseudoPoly(W1, {(rng.randint(0, maxdeg), 0): rng.randint(1, 5)
+                               for _ in range(3)})
+        assert W1.commutator(pure, W1.x).is_zero()
+        mixed = pure + W1.monomial(rng.randint(0, maxdeg - 1), rng.randint(1, maxdeg))
+        assert not W1.commutator(mixed, W1.x).is_zero()
 
 
 def test_cocycle_json_roundtrip():
