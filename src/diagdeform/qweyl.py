@@ -22,8 +22,13 @@ multiply and commutator (a*b and -b*a in one accumulator) share one kernel.
 Over QQ with q an integer, as at q = 1, it runs on integers: operands over
 the lcm of their denominators, integer block rules, and one Fraction per
 output key; a W_1 gauge move adds its commutators into its own integer sum
-through the same loop.  Over QQ(q) and QQ[[hbar]] the coefficients stay
-ring elements.
+through the same loop.  Over QQ[[hbar]] with q a series of denominator 1,
+as at q = 1 + hbar and q = 1, it runs on integer levels: each operand is
+flattened into (i, j, hbar level) terms over the lcm of its denominators,
+the block rules into integer (m, n, level) weights, products above the
+truncation order are dropped, and one series is built per output key;
+weyl_iso.solve_z updates its residual through the same loop.  Over QQ(q),
+and over series with any other q, the coefficients stay ring elements.
 normalize remains the oracle in every regime.
 
 The grading deg(x^i y^j) = i - j is preserved by multiplication since the
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .linalg import sparse_mat_mul
 from .scalars import (
@@ -46,6 +52,7 @@ from .scalars import (
     SeriesRing,
     SparsePoly,
     SparsePolyRing,
+    TruncSeries,
     UniPoly,
     _coerced_terms,
     _fractions,
@@ -99,10 +106,13 @@ class QWeyl(SparsePolyRing):
         super().__init__(PseudoPoly(self, {}), f"QWeyl(ring={ring!r})")
         self.x = PseudoPoly(self, {(1, 0): ring.one})
         self.y = PseudoPoly(self, {(0, 1): ring.one})
-        self._qpow, self._shift_cache = [ring.one], {}
+        self._qpow, self._shift_cache, self._level_cache = [ring.one], {}, {}
         # over QQ with q an integer the products run on integers, and the
-        # block rules carry int weights
+        # block rules carry int weights; over QQ[[hbar]] with q a series of
+        # denominator 1 they run on integer hbar levels (_add_levels)
         self._integral = ring is QQ and q.denominator == 1
+        self._levels = (isinstance(ring, SeriesRing) and ring.base is QQ
+                        and isinstance(q, TruncSeries) and q.denom == 1)
 
     def monomial(self, i: int, j: int, c=1) -> PseudoPoly:
         return PseudoPoly(self, {(i, j): c})
@@ -149,12 +159,24 @@ class QWeyl(SparsePolyRing):
         self._shift_cache[key] = out
         return out
 
+    def _level_rule(self, j: int, k: int) -> list:
+        """_shift(j, k) over QQ[[hbar]] flattened to ((m, n, level), weight)
+        pairs with int weights, lowest level first; cached per context."""
+        rule = sorted((((m, n, lw), w) for (m, n), s in self._shift(j, k).items()
+                       for lw, w in enumerate(s._data) if w), key=lambda t: t[0][2])
+        self._level_cache[(j, k)] = rule
+        return rule
+
     def _accumulate(self, a: PseudoPoly, b: PseudoPoly, minus_ba: bool) -> PseudoPoly:
         """a b, or a b - b a when minus_ba is set, in normal form: the one
         kernel of multiply and commutator, on integers over QQ when q is an
-        integer, and on ring elements otherwise."""
+        integer, on integer levels over QQ[[hbar]] when q is a series of
+        denominator 1, and on ring elements otherwise."""
         if a.algebra is not self or b.algebra is not self:
             raise ContextMismatch("operands from a different algebra context")
+        if self._levels:
+            (ta, da), (tb, db) = _level_terms(a), _level_terms(b)
+            return self._level_poly(self._add_levels({}, ta, tb, minus_ba), da * db)
         if self._integral:
             na, da = _numerators(a.terms.values())
             nb, db = _numerators(b.terms.values())
@@ -181,6 +203,41 @@ class QWeyl(SparsePolyRing):
                         key = (i1 + m, n + j2)
                         out[key] = out.get(key, zero) + c * w
         return out
+
+    def _add_levels(self, out: dict, ta, tb, minus_ba: bool) -> dict:
+        """Add a b, or a b - b a, into out and return it, over QQ[[hbar]]:
+        a and b are ((i, j, level), integer) pairs, out is keyed the same
+        way, and products above the truncation order are dropped."""
+        order, rules, rule_of = self.ring.order, self._level_cache, self._level_rule
+        for tu, tv, negate in ((ta, tb, False), (tb, ta, True))[:1 + minus_ba]:
+            for (i1, j1, l1), c1 in tu:
+                if negate:
+                    c1 = -c1
+                for (i2, j2, l2), c2 in tv:
+                    room = order - l1 - l2
+                    if room < 0:
+                        continue
+                    c, base = c1 * c2, l1 + l2
+                    rule = rules.get((j1, i2))
+                    if rule is None:
+                        rule = rule_of(j1, i2)
+                    for (m, n, lw), w in rule:
+                        if lw > room:
+                            break
+                        key = (i1 + m, n + j2, base + lw)
+                        out[key] = out.get(key, 0) + c * w
+        return out
+
+    def _level_poly(self, levels: dict, denom: int) -> PseudoPoly:
+        """{(i, j, level): integer numerator} over denom as an element of
+        this algebra over QQ[[hbar]], one series per key, zeros dropped."""
+        order = self.ring.order
+        rows = {}
+        for (i, j, lev), n in levels.items():
+            if n:
+                rows.setdefault((i, j), [0] * (order + 1))[lev] = n
+        return self.zero._like({k: TruncSeries._make(QQ, order, v, denom)
+                                for k, v in rows.items()})
 
     def multiply(self, a: PseudoPoly, b: PseudoPoly) -> PseudoPoly:
         """Product in normal form via the block rewriting rule."""
@@ -215,6 +272,15 @@ class QWeyl(SparsePolyRing):
     def commutator(self, a: PseudoPoly, b: PseudoPoly) -> PseudoPoly:
         """[a, b] = a b - b a, both products summed in one accumulation."""
         return self._accumulate(a, b, True)
+
+
+def _level_terms(p: PseudoPoly) -> tuple:
+    """The series coefficients of p, over QQ, as ((i, j, level), integer)
+    pairs for its nonzero levels, with their one denominator, the lcm of
+    the coefficients' denom."""
+    denom = lcm(*[s.denom for s in p.terms.values()])
+    return [((i, j, lev), n * (denom // s.denom)) for (i, j), s in p.terms.items()
+            for lev, n in enumerate(s._data) if n], denom
 
 
 @cache

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .scalars import (
     HBAR,
@@ -49,11 +50,12 @@ from .scalars import (
     SeriesRing,
     TruncSeries,
     UniPoly,
+    _fractions,
     exp_hbar,
     series_div_valuation,
     series_expand,
 )
-from .qweyl import PseudoPoly, QWeyl, classical, context, deformed
+from .qweyl import PseudoPoly, QWeyl, _level_terms, classical, context, deformed
 
 
 class UnsolvableOrder(ArithmeticError):
@@ -69,16 +71,6 @@ class LeftDivisionUndefined(ArithmeticError):
 
 
 # ------------------------------------------------------------------ solver
-
-
-def _hbar_slice(p: PseudoPoly, r: int, target: QWeyl) -> PseudoPoly:
-    """The hbar^r layer of a pseudopolynomial with truncated-series scalars."""
-    terms = {}
-    for key, series in p.terms.items():
-        c = series.coefficient(r)
-        if c:
-            terms[key] = c
-    return target.zero._like(terms)
 
 
 def _at_order(p: PseudoPoly, target: QWeyl, r: int) -> PseudoPoly:
@@ -97,29 +89,39 @@ def solve_z(order: int):
 
     Returns the list [eta_1, ..., eta_order] of corrections over QQ, in the
     gauge where no eta_r has a pure-x or constant component.  The residual
-    x*z - z*x - 1 is linear in z, so it is computed once and each new term
-    hbar^r eta_r adds [x, hbar^r eta_r] to it, which leaves the slices below
-    hbar^r alone; slice r must then vanish.  The final residual is computed
-    again in full and checked to vanish identically.  Any failure
-    raises UnsolvableOrder.
+    x*z - z*x - 1 is linear in z, so it is computed once and kept as one
+    dict of integer numerators keyed by (i, j, hbar level) over one
+    denominator; each new term hbar^r eta_r adds [x, hbar^r eta_r] into it
+    through the q-Weyl level loop, which leaves the levels below r alone,
+    and level r must then vanish.  The final residual is computed again in
+    full and checked to vanish identically.  Any failure raises
+    UnsolvableOrder.
     """
     if order < 1:
         raise ValueError("need at least one order of hbar")
     W = deformed(order)
     W1 = classical()
     z = W.y
-    resid = W.commutator(W.x, z) - W.one
+    terms, denom = _level_terms(W.commutator(W.x, z) - W.one)
+    resid = dict(terms)
+    tx, _ = _level_terms(W.x)
     etas = []
     for r in range(1, order + 1):
-        R = _hbar_slice(resid, r, W1)
+        R = W1.zero._like(_fractions({(i, j): n for (i, j, lev), n in resid.items()
+                                      if lev == r}, denom))
         # residual monomial (i, j) feeds the correction key (i, j + 1) alone
         eta = W1.zero._like({(i, j + 1): -c / (j + 1) for (i, j), c in R.terms.items()})
         if W1.commutator(W1.x, eta) != -R:
             raise UnsolvableOrder(f"correction at hbar^{r} does not cancel the residual")
         etas.append(eta)
         step = _at_order(eta, W, r)
-        resid = resid + W.commutator(W.x, step)
-        if not _hbar_slice(resid, r, W1).is_zero():
+        ts, ds = _level_terms(step)
+        d = lcm(denom, ds)
+        if d != denom:
+            resid = {k: n * (d // denom) for k, n in resid.items()}
+            denom = d
+        W._add_levels(resid, tx, [(k, n * (d // ds)) for k, n in ts], True)
+        if any(n for (_, _, lev), n in resid.items() if lev == r):
             raise UnsolvableOrder(f"residual survives at hbar^{r} after its correction")
         z = z + step
     final = W.x * z - z * W.x - W.one

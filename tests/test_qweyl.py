@@ -15,7 +15,15 @@ from diagdeform.qweyl import (
     stirling_second,
     symbolic,
 )
-from diagdeform.scalars import QQ, QVAR, ContextMismatch, RatFunc, UniPoly
+from diagdeform.scalars import (
+    QQ,
+    QVAR,
+    ContextMismatch,
+    RatFunc,
+    SeriesRing,
+    TruncSeries,
+    UniPoly,
+)
 
 
 Q = RatFunc.gen(QVAR)
@@ -312,3 +320,77 @@ def test_weyl_commutators_are_the_partial_derivatives():
         d_x = W.from_terms((i - 1, j, i * c) for (i, j), c in chi.terms.items() if i)
         assert W.commutator(chi, W.x) == minus_d_y
         assert W.commutator(chi, W.y) == d_x
+
+
+def _series_element(W, rng, maxdeg, nterms):
+    """A random element over QQ[[hbar]] whose coefficients have several
+    levels, some of them zero, with denominators up to 6."""
+    order = W.ring.order
+
+    def level():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+
+    return W.from_terms((rng.randint(0, maxdeg), rng.randint(0, maxdeg),
+                         TruncSeries(QQ, order, [level() for _ in range(order + 1)]))
+                        for _ in range(nterms))
+
+
+def _words_oracle(W, a, b, minus_ba):
+    """a b, or a b - b a, as the sum of c1 c2 times the free-word normal form
+    of each pair of monomials."""
+    out = W.zero
+    pairs = [(a, b, 1), (b, a, -1)][:1 + minus_ba]
+    for u, v, sign in pairs:
+        for (i1, j1), c1 in u.terms.items():
+            for (i2, j2), c2 in v.terms.items():
+                word = "x" * i1 + "y" * j1 + "x" * i2 + "y" * j2
+                out = out + W.normalize([(1, word)]).scale(c1 * c2 * sign)
+    return out
+
+
+def _series_context(order, q):
+    ring = SeriesRing(QQ, order)
+    return qweyl.context(ring, TruncSeries(QQ, order, q))
+
+
+# q = 1 + hbar and q = 1 run on integer levels, q = 1 + hbar/2 on series
+_SERIES_CONTEXTS = (
+    [(f"deformed({n})", lambda n=n: deformed(n), True) for n in range(7)]
+    + [(f"q=1,order={n}", lambda n=n: _series_context(n, [1]), True) for n in range(7)]
+    + [(f"q=1+hbar/2,order={n}", lambda n=n: _series_context(n, [1, Fraction(1, 2)]), False)
+       for n in (1, 3, 6)]
+)
+
+
+@pytest.mark.parametrize("make,levels", [(m, lv) for _, m, lv in _SERIES_CONTEXTS],
+                         ids=[n for n, _, _ in _SERIES_CONTEXTS])
+def test_series_products_match_free_words(make, levels):
+    W = make()
+    assert W._levels is levels
+    rng = random.Random(30211 + W.ring.order)
+    for _ in range(12):
+        a = _series_element(W, rng, 3, rng.randint(0, 4))
+        b = _series_element(W, rng, 3, rng.randint(1, 4))
+        assert W.multiply(a, b) == _words_oracle(W, a, b, False)
+        assert W.commutator(a, b) == _words_oracle(W, a, b, True)
+
+
+def test_series_products_make_no_series_multiplication(monkeypatch):
+    from diagdeform.weyl_iso import solve_z
+
+    W = deformed(6)
+    word = "yxyyxxyxyx"
+    solve_z(12)
+    expected = word_product(W, word)  # builds the rule tables
+    calls = []
+    real = TruncSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    monkeypatch.setattr(TruncSeries, "__rmul__", counted)
+    solve_z(12)
+    assert word_product(W, word) == expected
+    assert calls == []

@@ -61,19 +61,31 @@ def test_gauge_no_pure_x_and_no_constant():
 
 
 def test_solver_updates_its_residual_instead_of_recomputing_it(monkeypatch):
-    # one commutator for the starting residual, then per order one update
-    # in W_{1+hbar} and one cancellation check over QQ, and two products for
-    # the final full recomputation: 1 + 2 * 12 + 2
-    calls = []
-    real = QWeyl._accumulate
+    # one commutator for the starting residual, one cancellation check over
+    # QQ per order and two products for the final full recomputation:
+    # 1 + 12 + 2 products; and per order one update of the integer residual
+    # through the level loop, outside any product
+    products, updates, inside = [], [], []
+    real_accumulate, real_add_levels = QWeyl._accumulate, QWeyl._add_levels
 
     def counted(self, a, b, minus_ba):
-        calls.append(minus_ba)
-        return real(self, a, b, minus_ba)
+        products.append(minus_ba)
+        inside.append(True)
+        try:
+            return real_accumulate(self, a, b, minus_ba)
+        finally:
+            inside.pop()
+
+    def counted_levels(self, out, ta, tb, minus_ba):
+        if not inside:
+            updates.append(minus_ba)
+        return real_add_levels(self, out, ta, tb, minus_ba)
 
     monkeypatch.setattr(QWeyl, "_accumulate", counted)
+    monkeypatch.setattr(QWeyl, "_add_levels", counted_levels)
     solve_z(12)
-    assert len(calls) == 27
+    assert len(products) == 15
+    assert updates == [True] * 12
 
 
 def test_solver_checks_each_order_after_its_correction(monkeypatch):
